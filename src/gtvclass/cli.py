@@ -80,8 +80,9 @@ def _emit_json(record, args):
 class SweepConfig:
     """Validated sweep description: model, schedules, seeds, output paths.
 
-    eps_rule is c * n^-a. lambda_rule depends on the regime tag:
-    overfit c*eps*n^-b, consistent c*n^-a, fixed c, underfit c*n^+b.
+    eps_rule {c, a} is c * n^-a. lambda_rule {regime, c, b} depends on the
+    regime tag: overfit c*eps*n^-b, consistent c*n^-b, fixed c, underfit
+    c*n^+b. Unknown keys in either rule are rejected.
     """
 
     def __init__(self, raw):
@@ -98,6 +99,11 @@ class SweepConfig:
             self.plots_dir = raw.get("plots_dir")
         except KeyError as exc:
             raise ValidationError("sweep config is missing key %s" % exc)
+        for rule, keys in (("eps_rule", {"c", "a"}),
+                           ("lambda_rule", {"regime", "c", "b"})):
+            unknown = sorted(set(raw[rule]) - keys)
+            if unknown:
+                raise ValidationError("%s has unknown keys %s" % (rule, unknown))
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s"
@@ -117,7 +123,7 @@ class SweepConfig:
         if self.regime == "overfit":
             lam = c * eps * n ** (-float(self.lambda_rule.get("b", 0.0)))
         elif self.regime == "consistent":
-            lam = c * n ** (-float(self.lambda_rule.get("a", 0.25)))
+            lam = c * n ** (-float(self.lambda_rule.get("b", 0.25)))
         elif self.regime == "fixed":
             lam = c
         else:

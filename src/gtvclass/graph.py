@@ -4,7 +4,8 @@ spatial grid, graph total variation, and the discrete divergence operator.
 Weight convention: stored weights are w_ij = eta_eps(x_i - x_j) =
 eps^-d eta(|x_i - x_j|/eps), kept once per undirected pair i < j. The
 ordered double sums of the energy are recovered by a factor 2 in gtv and
-by two per-edge slots in EdgeField.
+by two per-edge slots in EdgeField, which serves only divergence: the
+primal-dual solver stores its antisymmetric dual as one slot per edge.
 """
 
 import itertools
@@ -44,10 +45,6 @@ class EdgeField:
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != 2:
             raise ValidationError("edge field must have shape (m, 2)")
-
-    @classmethod
-    def zeros(cls, graph):
-        return cls(np.zeros((graph.m, 2)))
 
 
 def _block_pairs(sa, ca, sb, cb):

@@ -16,23 +16,18 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from . import ValidationError
-from .graph import EdgeField, divergence, gtv
+from .graph import divergence, gtv
 
 
 class SolverConfig:
-    def __init__(self, lambda_, max_iters=20000, tol=1e-7, step_ratio=1.0,
-                 threshold=0.5):
+    def __init__(self, lambda_, max_iters=20000, tol=1e-7):
         if not (lambda_ > 0):
             raise ValidationError("lambda must be positive")
         if not (tol > 0):
             raise ValidationError("tol must be positive")
-        if not (0.0 < threshold < 1.0):
-            raise ValidationError("threshold must lie in (0, 1)")
         self.lambda_ = float(lambda_)
         self.max_iters = int(max_iters)
         self.tol = float(tol)
-        self.step_ratio = float(step_ratio)
-        self.threshold = float(threshold)
 
 
 class SolveResult:
@@ -134,31 +129,31 @@ def binarize(graph, labels, lam, u):
     Evaluates 1_{u > t} at every distinct value of u, at t = 1/2, and the
     all-ones labeling (the t below min(u) level set), and returns the lowest
     energy one; ties go to the lowest threshold. By the coarea decomposition
-    the winner's energy never exceeds energy(u).
+    the winner's energy never exceeds energy(u). Cost O((n + m) log n): all
+    candidates are scored at once by prefix sums over threshold indices.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(labels, dtype=float)
     if u.shape != (graph.n,):
         raise ValidationError("node function has wrong length")
     thresholds = np.unique(np.concatenate([u, [0.5]]))
-    n = graph.n
+    k, n = thresholds.size, graph.n
     scale = 2.0 * lam / (n ** 2 * graph.eps)
-    best_e, best_b = np.inf, None
-    # candidate rows: all-ones first (threshold below every value), then
-    # level sets by ascending threshold; first argmin keeps the lowest t
-    for lo in range(-1, thresholds.size, 64):
-        ts = thresholds[max(lo, 0):lo + 64]
-        b = u[None, :] > ts[:, None]
-        if lo == -1:
-            b = np.vstack([np.ones((1, n), dtype=bool), b])
-        bf = b.astype(float)
-        e = np.abs(bf - y[None, :]).mean(axis=1)
-        if graph.m:
-            e = e + scale * (np.abs(bf[:, graph.ei] - bf[:, graph.ej]) @ graph.w)
-        j = int(np.argmin(e))
-        if e[j] < best_e:
-            best_e, best_b = float(e[j]), bf[j].copy()
-    return best_b
+    # candidate c = 0..k labels node i one iff c <= idx[i]: c = 0 is all-ones,
+    # c = t + 1 the level set above thresholds[t]
+    idx = np.searchsorted(thresholds, u)
+    # mismatches: label-one nodes with idx < c, label-zero nodes with idx >= c
+    miss = (n - y.sum()) + np.concatenate(
+        [[0.0], np.cumsum(np.bincount(idx, weights=2.0 * y - 1.0, minlength=k))])
+    # edge (i, j) is cut by candidates min(idx) + 1 .. max(idx)
+    a, b = idx[graph.ei], idx[graph.ej]
+    cut = np.cumsum(np.bincount(np.minimum(a, b) + 1, weights=graph.w, minlength=k + 1)
+                    - np.bincount(np.maximum(a, b) + 1, weights=graph.w, minlength=k + 1))
+    # constant labelings cut nothing; the prefix sum's +w/-w rounding residue
+    # there could otherwise break the tie away from all-ones
+    cut[:idx.min() + 1] = cut[idx.max() + 1:] = 0.0
+    c = int(np.argmin(miss / n + scale * cut))
+    return (idx >= c).astype(float)
 
 
 def certify_overfit(graph, lam):
@@ -174,9 +169,12 @@ def solve_primal_dual(graph, labels, config):
 
         min_{u in [0,1]^n} max_{|p| <= 1} c <div(p), u> + (1/n) sum |u_i - y_i|
 
-    with c = lambda/(n^2 eps). Dual step projects p onto [-1, 1] per ordered
-    edge slot; primal step soft-shrinks u toward y by tau/n and clips to
-    [0, 1]. Steps sized from a 30-step power estimate of the operator norm.
+    with c = lambda/(n^2 eps). p starts at 0 and its projection onto [-1, 1]
+    is odd, so p_ji = -p_ij for every iterate: one antisymmetric slot q per
+    edge is stored. The primal step soft-shrinks u toward y by tau/n and clips
+    to [0, 1]. Steps sized from a 30-step power estimate of the operator norm.
+    Each iterate's edge differences are gathered once and give both its
+    energy, tracked every iteration, and, by linearity, K(2 u_new - u_old).
     Stops when the relative energy change over 50 iterations drops below tol;
     the lowest-energy iterate is kept, so energy_relaxed never exceeds the
     energy of the initial point u0 = labels.
@@ -189,14 +187,15 @@ def solve_primal_dual(graph, labels, config):
         return SolveResult(y.copy(), y.copy(), e0, e0, 0, 0.0, "primal_dual")
     c = lam / (n ** 2 * graph.eps)
     cw = c * graph.w
+    gscale = 2.0 / (n ** 2 * graph.eps)   # gtv = gscale * sum w |d|
     ei, ej = graph.ei, graph.ej
 
     def K(u):
-        du = cw * (u[ej] - u[ei])
-        return np.stack([du, -du], axis=1)
+        return cw * (u[ej] - u[ei])
 
-    def KT(p):
-        a = cw * (p[:, 1] - p[:, 0])
+    def KT(q):
+        # the two-slot p_ji - p_ij is -q - q, which equals -2.0 * q exactly
+        a = cw * (-2.0 * q)
         return np.bincount(ei, weights=a, minlength=n) - np.bincount(ej, weights=a, minlength=n)
 
     rng = np.random.Generator(np.random.Philox(2718))
@@ -209,35 +208,35 @@ def solve_primal_dual(graph, labels, config):
             break
         v /= lsq
     L = np.sqrt(lsq) * 1.02 if lsq > 0 else 1.0  # small margin over the estimate
-    tau = config.step_ratio / L
-    sigma = 1.0 / (config.step_ratio * L)
+    tau = sigma = 1.0 / L
 
-    u = y.copy()
-    ubar = u.copy()
-    p = np.zeros((m, 2))
-    best_e, best_u, best_p = e0, u.copy(), p.copy()
+    u, d = y.copy(), y[ej] - y[ei]   # d: edge differences of the iterate u
+    kbar = cw * d                     # K(ubar) with ubar = u0
+    q = np.zeros(m)
+    best_e, best_u, best_q = e0, u.copy(), q.copy()
     hist = [e0]
     it = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        p = np.clip(p + sigma * K(ubar), -1.0, 1.0)
-        a = (u - tau * KT(p)) - y
-        unew = y + np.sign(a) * np.maximum(np.abs(a) - tau / n, 0.0)
-        unew = np.clip(unew, 0.0, 1.0)
-        ubar = 2.0 * unew - u
-        u = unew
-        e = energy(graph, labels, lam, u)
+        q = np.clip(q + sigma * kbar, -1.0, 1.0)
+        a = (u - tau * KT(q)) - y
+        u = np.clip(y + np.sign(a) * np.maximum(np.abs(a) - tau / n, 0.0), 0.0, 1.0)
+        dnew = u[ej] - u[ei]
+        kbar = cw * (2.0 * dnew - d)   # K(2 u_new - u_old)
+        d = dnew
+        e = lam * (gscale * float(np.sum(graph.w * np.abs(d)))) + float(np.abs(u - y).mean())
         if e < best_e:
-            best_e, best_u, best_p = e, u.copy(), p.copy()
+            best_e, best_u, best_q = e, u.copy(), q.copy()
         hist.append(e)
         if it >= 50 and it % 10 == 0:
             ref = hist[-51]
             if abs(ref - e) <= config.tol * max(abs(ref), 1e-12):
                 converged = True
                 break
-    # certified lower bound from the dual feasible point at the best iterate
-    dual = float(np.sum(np.minimum(y / n, c * divergence(graph, EdgeField(best_p))
-                                   + (1.0 - y) / n)))
+    # certified lower bound from the dual feasible point at the best iterate;
+    # the two-slot divergence, not KT, keeps it an independent check
+    div = divergence(graph, np.stack([best_q, -best_q], axis=1))
+    dual = float(np.sum(np.minimum(y / n, c * div + (1.0 - y) / n)))
     gap = best_e - dual
     ub = binarize(graph, labels, lam, best_u)
     return SolveResult(best_u, ub, best_e, energy(graph, labels, lam, ub),

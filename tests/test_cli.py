@@ -125,6 +125,26 @@ def test_sweep_config_validation(tmp_path):
             '"c": 1.0', '"c": -1.0')))
 
 
+def test_sweep_config_rule_keys():
+    base = {"model": "builtin:quadrant", "n_list": [10000], "seeds": [1],
+            "eps_rule": {"c": 1.0, "a": 0.25}}
+
+    def lam(rule):
+        cfg = SweepConfig(dict(base, lambda_rule=rule))
+        return cfg.lambda_of(10000, cfg.eps_of(10000))
+
+    # consistent regime: c * n^(-b), with b = 1/4 when absent
+    assert lam({"regime": "consistent", "c": 1, "b": 0.5}) == pytest.approx(0.01, rel=1e-12)
+    assert lam({"regime": "consistent", "c": 1}) == pytest.approx(0.1, rel=1e-12)
+    for bad in ({"regime": "consistent", "c": 1, "a": 0.5},
+                {"regime": "fixed", "c": 1, "scale": 2}):
+        with pytest.raises(ValidationError, match="lambda_rule has unknown keys"):
+            SweepConfig(dict(base, lambda_rule=bad))
+    with pytest.raises(ValidationError, match="eps_rule has unknown keys"):
+        SweepConfig(dict(base, eps_rule={"c": 1.0, "a": 0.25, "b": 0.5},
+                         lambda_rule={"regime": "fixed", "c": 1}))
+
+
 def test_exit_codes(tmp_path, capsys):
     # missing file -> I/O error
     assert run(tmp_path, "solve", "--data", str(tmp_path / "nope.csv"),

@@ -157,6 +157,45 @@ def test_binarize_all_ones_candidate():
     assert np.array_equal(b, [1.0, 1.0])
 
 
+def binarize_by_enumeration(graph, labels, lam, u):
+    # reference: the all-ones labeling, then the level set above every
+    # distinct value of u and 1/2 in ascending order, each scored by energy;
+    # the first minimum wins
+    cands = [np.ones(graph.n)] + [(u > t).astype(float)
+                                  for t in np.unique(np.append(u, 0.5))]
+    energies = [sv.energy(graph, labels, lam, b) for b in cands]
+    return cands[int(np.argmin(energies))]
+
+
+def test_binarize_matches_enumeration_oracle():
+    # u on quarters, so many nodes share a threshold and candidates tie
+    rng = np.random.Generator(np.random.Philox(26))
+    for trial in range(40):
+        n = int(rng.integers(2, 401))
+        d = int(rng.integers(1, 4))
+        shape = ("indicator", "gaussian")[trial % 2]
+        prof = KernelProfile(shape, scale=1.0 if shape == "indicator" else 0.3)
+        g = gr.build(rng.random((n, d)), float(rng.uniform(0.05, 0.4)), prof)
+        y = rng.integers(0, 2, n)
+        lam = float(10.0 ** rng.uniform(-3, 1))
+        u = rng.integers(0, 5, n) / 4.0
+        e = sv.energy(g, y, lam, sv.binarize(g, y, lam, u))
+        e_ref = sv.energy(g, y, lam, binarize_by_enumeration(g, y, lam, u))
+        assert e == pytest.approx(e_ref, rel=1e-12, abs=0.0)
+
+
+def test_binarize_constant_tie_goes_to_all_ones():
+    # balanced labels and a huge lambda: all-ones and all-zeros both cost
+    # exactly 1/2 and every other level set more, so all-ones must win
+    rng = np.random.Generator(np.random.Philox(27))
+    for _ in range(20):
+        n = 2 * int(rng.integers(10, 100))
+        g = gr.build(rng.random((n, 2)), 0.3, KernelProfile("indicator"))
+        y = rng.permutation(np.repeat([0, 1], n // 2))
+        b = sv.binarize(g, y, 1e6, rng.random(n))
+        assert np.array_equal(b, np.ones(n))
+
+
 def test_certificate_hand_value():
     # n = 2, d = 1, points {0, 0.5}, eps = 1, indicator: s_i = 2 lambda
     g = gr.build(np.array([[0.0], [0.5]]), 1.0, KernelProfile("indicator"))
@@ -230,6 +269,33 @@ def test_primal_dual_certified_regime_returns_labels():
     assert r.energy_binary == pytest.approx(lam * gr.gtv(g, y), rel=1e-12)
 
 
+def pd_parity_instance(seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = rng.random((200, 2))
+    y = ((pts[:, 0] > 0.5) ^ (rng.random(200) < 0.2)).astype(int)
+    return gr.build(pts, 0.2, KernelProfile("gaussian", scale=0.3)), y
+
+
+@pytest.mark.parametrize("seed, max_iters, expect", [
+    # converges after 970 iterations, best iterate at 796
+    (31, 5000, (970, True, 0.16602425571754764, 0.16602419512258082,
+                0.00026798071159336856)),
+    # capped at 77; the best iterate, 74, lies between convergence checks
+    (35, 77, (77, False, 0.18565343440478993, 0.1856515434666479,
+              0.004163678618902766)),
+])
+def test_primal_dual_parity_with_recorded_values(seed, max_iters, expect):
+    # values recorded from the two-slot solver that called energy() every
+    # iteration; a change of dual storage or energy bookkeeping must keep them
+    g, y = pd_parity_instance(seed)
+    r = sv.solve_primal_dual(g, y, SolverConfig(0.2, tol=1e-9, max_iters=max_iters))
+    iters, converged, e_relaxed, e_binary, gap = expect
+    assert (r.iters, r.converged) == (iters, converged)
+    assert r.energy_relaxed == pytest.approx(e_relaxed, rel=1e-12, abs=0.0)
+    assert r.energy_binary == pytest.approx(e_binary, rel=1e-12, abs=0.0)
+    assert r.gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
 def test_huge_lambda_gives_majority_constant():
     rng = np.random.Generator(np.random.Philox(24))
     pts = rng.random((50, 2))
@@ -259,5 +325,3 @@ def test_solver_config_validation():
         SolverConfig(0.0)
     with pytest.raises(ValidationError):
         SolverConfig(0.1, tol=0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(0.1, threshold=1.0)
