@@ -30,7 +30,6 @@ from .metrics import (bayes_agreement, continuum_tv_indicator, empirical_risk,
 from .solver import SolverConfig, certify_overfit, solve_mincut, solve_primal_dual
 
 SCHEMA_VERSION = 1
-MINCUT_MAX_N = 20000
 REGIMES = ("overfit", "consistent", "fixed", "underfit")
 
 REPORT_COLUMNS = [
@@ -140,10 +139,7 @@ def _run_one(model, profile, cfg, n, seed):
     g = build(cloud, eps, profile)
     cert, margin = certify_overfit(g, lam)
     t0 = perf_counter()
-    if n <= MINCUT_MAX_N:
-        res = solve_mincut(g, cloud.labels, lam)
-    else:
-        res = solve_primal_dual(g, cloud.labels, SolverConfig(lam))
+    res = solve_mincut(g, cloud.labels, lam)
     ms = (perf_counter() - t0) * 1000.0
     ub = res.u_binary
     er = empirical_risk(ub, cloud.labels)

@@ -1,5 +1,5 @@
-"""eps-neighborhood graphs over point clouds: construction via a uniform
-spatial grid, graph total variation, and the discrete divergence operator.
+"""eps-neighborhood graphs over point clouds: construction via a k-d tree
+pair search, graph total variation, and the discrete divergence operator.
 
 Weight convention: stored weights are w_ij = eta_eps(x_i - x_j) =
 eps^-d eta(|x_i - x_j|/eps), kept once per undirected pair i < j. The
@@ -8,19 +8,20 @@ by two per-edge slots in EdgeField, which serves only divergence: the
 primal-dual solver stores its antisymmetric dual as one slot per edge.
 """
 
-import itertools
-
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from . import ValidationError
 from . import kernels
 
 
 class NeighborGraph:
-    # ei, ej: (m,) int64 with ei < ej, lexicographically sorted
-    # w: (m,) strictly positive eta_eps weights
+    # ei, ej: (m,) int64 with ei < ej, sorted by ei then ej; node numbers
+    # are the input order of the points
+    # w: (m,) eta_eps weights, all positive; every pair with a positive
+    # weight is an edge
     # degree_sums: (n,) sum_j eta_eps(x_i - x_j) including the j = i term
     def __init__(self, n, d, eps, ei, ej, w, degree_sums, points=None):
         self.n = int(n)
@@ -47,57 +48,6 @@ class EdgeField:
             raise ValidationError("edge field must have shape (m, 2)")
 
 
-def _block_pairs(sa, ca, sb, cb):
-    # all index pairs between blocks (start sa[k], count ca[k]) and
-    # (sb[k], cb[k]) of a shared ordering array
-    m = ca * cb
-    tot = int(m.sum())
-    if tot == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    first = np.repeat(np.cumsum(m) - m, m)
-    r = np.arange(tot, dtype=np.int64) - first
-    cbr = np.repeat(cb, m)
-    ia = np.repeat(sa, m) + r // cbr
-    jb = np.repeat(sb, m) + r % cbr
-    return ia, jb
-
-
-def _candidate_pairs(points, h):
-    """Unordered point pairs lying in the same or adjacent cells of a uniform
-    grid of cell size h; covers every pair at distance <= h."""
-    n, d = points.shape
-    cells = np.floor(points / h).astype(np.int64)
-    cells -= cells.min(axis=0)
-    span = cells.max(axis=0) + 3
-    if np.prod(span.astype(object)) >= 2 ** 62:
-        raise ValidationError("grid too fine for packed cell keys")
-    strides = np.cumprod(np.concatenate([[1], span[:-1]]))
-    key = (cells + 1) @ strides
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
-    ukeys, starts, counts = np.unique(sk, return_index=True, return_counts=True)
-
-    out_i, out_j = [], []
-    # same cell: all pairs within each block
-    ia, jb = _block_pairs(starts, counts, starts, counts)
-    keep = ia < jb
-    out_i.append(order[ia[keep]])
-    out_j.append(order[jb[keep]])
-    # adjacent cells: one lexicographically positive offset per unordered pair
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if o > (0,) * d]
-    for off in offsets:
-        shift = np.asarray(off, dtype=np.int64) @ strides
-        pos = np.searchsorted(ukeys, ukeys + shift)
-        pos = np.minimum(pos, len(ukeys) - 1)
-        hit = ukeys[pos] == ukeys + shift
-        ia, jb = _block_pairs(starts[hit], counts[hit], starts[pos[hit]], counts[pos[hit]])
-        out_i.append(order[ia])
-        out_j.append(order[jb])
-    gi = np.concatenate(out_i)
-    gj = np.concatenate(out_j)
-    return np.minimum(gi, gj), np.maximum(gi, gj)
-
-
 def build(cloud, eps, profile):
     """Build the eps-neighborhood graph of a LabeledCloud (or raw points)."""
     points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, dtype=float)
@@ -106,14 +56,16 @@ def build(cloud, eps, profile):
     if not (eps > 0):
         raise ValidationError("eps must be positive")
     n, d = points.shape
-    cutoff = profile.support_radius * eps
-    gi, gj = _candidate_pairs(points, cutoff)
+    # the k-d tree rounds distances its own way; the margin only widens the
+    # candidate set, and w > 0 below decides which pairs become edges
+    cutoff = profile.support_radius * eps * (1.0 + 1e-9)
+    gi, gj = cKDTree(points).query_pairs(cutoff, output_type="ndarray").T
     diff = points[gi] - points[gj]
     dist = np.sqrt((diff * diff).sum(axis=1))
     w = kernels.eval(profile, dist / eps) / eps ** d
     keep = w > 0
     gi, gj, w = gi[keep], gj[keep], w[keep]
-    order = np.lexsort((gj, gi))
+    order = np.argsort(gi * n + gj)
     gi, gj, w = gi[order], gj[order], w[order]
     deg = (np.bincount(gi, weights=w, minlength=n)
            + np.bincount(gj, weights=w, minlength=n)).astype(float)
@@ -148,10 +100,3 @@ def num_components(graph):
                      shape=(graph.n, graph.n))
     ncomp, _ = connected_components(adj, directed=False)
     return int(ncomp)
-
-
-def dump_edges(graph, path):
-    with open(path, "w") as f:
-        f.write("i,j,weight\n")
-        for i, j, w in zip(graph.ei, graph.ej, graph.w):
-            f.write("%d,%d,%.17g\n" % (i, j, w))

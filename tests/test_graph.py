@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtvclass import ValidationError
 from gtvclass import graph as gr
@@ -77,6 +78,52 @@ def test_build_matches_direct_double_loop():
             assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
             assert np.allclose(g.w, w, rtol=1e-12, atol=0)
             assert np.allclose(g.degree_sums, deg, rtol=1e-12, atol=0)
+
+
+def all_pairs_edges(points, eps, profile):
+    # O(n^2) reference: every pair through kernels.eval, with build's distance
+    # arithmetic, so that the kernel alone decides pairs at the cutoff
+    n, d = points.shape
+    i, j = np.triu_indices(n, 1)
+    diff = points[i] - points[j]
+    w = kernels.eval(profile, np.sqrt((diff * diff).sum(axis=1)) / eps) / eps ** d
+    keep = w > 0
+    return i[keep], j[keep], w[keep]
+
+
+def cutoff_cloud(kind, d, cutoff, rng):
+    if kind == "random":
+        return rng.random((int(rng.integers(2, 60)), d))
+    if kind == "lattice":
+        # spacing equal to the cutoff: every lattice neighbour sits on it
+        k = {1: 30, 2: 7, 3: 4}[d]
+        axes = [rng.uniform(-1, 1) + cutoff * np.arange(k) for _ in range(d)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+    # pairs at the cutoff moved by a few ulps, where a squared-distance
+    # comparison and dist / eps <= radius can round opposite ways
+    a = rng.uniform(-1, 1, (12, d))
+    v = rng.standard_normal((12, d))
+    b = a + cutoff * v / np.linalg.norm(v, axis=1, keepdims=True)
+    b += rng.integers(-3, 4, (12, 1)) * np.spacing(b) * np.sign(v)
+    return np.concatenate([a, b])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("random", "lattice", "boundary")),
+       d=st.integers(1, 3), shape=st.sampled_from(kernels.SHAPES),
+       scale=st.sampled_from((1.0, 0.7, 0.3, 0.05)),
+       eps=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_build_matches_all_pairs_at_the_cutoff(kind, d, shape, scale, eps, seed):
+    prof = KernelProfile(shape, scale=scale)
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts = cutoff_cloud(kind, d, prof.support_radius * eps, rng)
+    g = gr.build(pts, eps, prof)
+    ei, ej, w = all_pairs_edges(pts, eps, prof)
+    assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
+    assert np.array_equal(g.w, w)
+    deg = (np.bincount(ei, weights=w, minlength=len(pts))
+           + np.bincount(ej, weights=w, minlength=len(pts)) + 1.0 / eps ** d)
+    assert np.array_equal(g.degree_sums, deg)
 
 
 def test_build_deterministic_and_sorted():
@@ -207,12 +254,3 @@ def test_num_components():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0], [9.0, 0.0]])
     g = gr.build(pts, 0.2, KernelProfile("indicator"))
     assert gr.num_components(g) == 3
-
-
-def test_dump_edges(tmp_path):
-    g = gr.build(np.array([[0.0], [0.5]]), 1.0, KernelProfile("indicator"))
-    path = tmp_path / "edges.csv"
-    gr.dump_edges(g, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,j,weight"
-    assert lines[1].startswith("0,1,")

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -114,6 +115,83 @@ def test_mincut_equals_brute_force_on_random_instances():
         bf = sv.solve_brute_force(g, y, lam)
         mc = sv.solve_mincut(g, y, lam)
         assert mc.energy_binary == bf.energy_binary
+
+
+def networkx_min_source_side(graph, y, lam):
+    # the integer network of solve_mincut's docstring, built by hand, and
+    # the nodes reachable from s in the residual of networkx's maximum flow
+    n = graph.n
+    c = 2.0 * lam / (n ** 2 * graph.eps)
+    caps = {}
+    for i in range(n):
+        caps["s", i] = y[i] / n
+        caps[i, "t"] = (1.0 - y[i]) / n
+    for i, j, w in zip(graph.ei.tolist(), graph.ej.tolist(), graph.w):
+        caps[i, j] = caps[j, i] = c * w
+    scale = (2.0 ** 31 - 1.0) / max(caps.values())
+    G = nx.DiGraph()
+    for (a, b), cap in caps.items():
+        G.add_edge(a, b, capacity=int(np.rint(cap * scale)))
+    value, flow = nx.maximum_flow(G, "s", "t")
+
+    def residual(a, b):
+        cap = G.edges[a, b]["capacity"] if G.has_edge(a, b) else 0
+        return cap - flow[a].get(b, 0) + flow[b].get(a, 0)
+
+    R = nx.DiGraph()
+    R.add_edges_from((a, b) for e in G.edges for a, b in (e, e[::-1])
+                     if residual(a, b) > 0)
+    u = np.zeros(n)
+    u[[v for v in nx.descendants(R, "s") if v != "t"]] = 1.0
+    return u, value / scale
+
+
+def test_mincut_matches_networkx_oracle():
+    rng = np.random.Generator(np.random.Philox(26))
+    nontrivial = 0
+    for k in range(12):
+        n, d = int(rng.integers(100, 400)), 1 + k % 3
+        pts = rng.random((n, d))
+        y = ((pts[:, 0] > 0.5) ^ (rng.random(n) < 0.25)).astype(int)
+        prof = KernelProfile("indicator") if k % 2 else KernelProfile("gaussian", scale=0.3)
+        # tens of neighbours per node; lambda near the overfit edge, where
+        # flipping one node trades 1/n against its cut edges
+        eps = (20.0 / n) ** (1.0 / d) / (2.0 if k % 2 else 2.4)
+        lam = n * eps ** (d + 1) * float(10.0 ** rng.uniform(-1.5, -0.5))
+        g = gr.build(pts, eps, prof)
+        mc = sv.solve_mincut(g, y, lam)
+        u, cut_value = networkx_min_source_side(g, y, lam)
+        assert np.array_equal(mc.u_binary, u)
+        assert mc.energy_binary == sv.energy(g, y, lam, u)
+        assert abs(cut_value - mc.energy_binary) <= mc.gap
+        nontrivial += 0 < mc.u_binary.sum() < n and not np.array_equal(mc.u_binary, y)
+    assert nontrivial >= 8
+
+
+def test_mincut_gap_bounds_quantization_excess():
+    # smooth kernels at scale 0.05: many arcs round to zero in int32
+    rng = np.random.Generator(np.random.Philox(27))
+    for k in range(120):
+        n, d = int(rng.integers(8, 17)), int(rng.integers(1, 4))
+        pts = rng.random((n, d))
+        y = rng.integers(0, 2, n)
+        g = gr.build(pts, float(rng.uniform(0.3, 1.5)),
+                     KernelProfile(("gaussian", "exponential")[k % 2], scale=0.05))
+        lam = float(10.0 ** rng.uniform(-3, 1))
+        mc = sv.solve_mincut(g, y, lam)
+        bf = sv.solve_brute_force(g, y, lam)
+        assert 0.0 < mc.gap and mc.energy_binary - bf.energy_binary <= mc.gap
+    # a tie made by rounding: the edge costs 1e-12 less than the label it
+    # saves, but both round to 2^31 - 1, and the minimal source side is empty
+    for shape in ("gaussian", "exponential"):
+        g = gr.build(np.array([[0.0], [0.03]]), 1.0, KernelProfile(shape, scale=0.05))
+        y = np.array([1, 0])
+        lam = 0.5 * (1.0 - 1e-12) / (2.0 * g.w[0] / (4 * g.eps))
+        mc = sv.solve_mincut(g, y, lam)
+        bf = sv.solve_brute_force(g, y, lam)
+        assert np.array_equal(mc.u_binary, [0.0, 0.0])
+        assert np.array_equal(bf.u_binary, [1.0, 0.0])
+        assert 0.0 < mc.energy_binary - bf.energy_binary <= mc.gap
 
 
 def test_mincut_nonbinary_labels_rejected():
