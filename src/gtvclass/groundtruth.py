@@ -9,6 +9,7 @@ belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 
 import csv
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -76,28 +77,70 @@ class GroundTruthModel:
     def _volumes(lo, hi):
         return np.prod(hi - lo, axis=1)
 
-    def _cell_index(self, los, his, x):
+    @cached_property
+    def _rho_table(self):
+        return self._cell_table(self._rho_lo, self._rho_hi)
+
+    @cached_property
+    def _mu_table(self):
+        return self._cell_table(self._mu_lo, self._mu_hi)
+
+    def _cell_table(self, los, his):
+        """Per-axis faces and a table of cell ids over the grid they span.
+
+        The sorted distinct faces e of axis j cut it into len(e) - 1 bins
+        [e_b, e_{b+1}), and every cell is a union of the grid boxes they span.
+        Each axis gets two more bins: one for the closed top face
+        x_j == hi_j, and one that no cell holds, for coordinates below the
+        first face or at or past the last. The table holds the lowest id of
+        a cell containing each grid box, -1 where none does. Built on first
+        use and stored in one assignment, so threads sharing a model at
+        worst build it twice.
+        """
+        faces, member = [], []
+        for j in range(self.d):
+            e = np.unique(np.concatenate([los[:, j], his[:, j]]))
+            lo, hi = los[:, j, None], his[:, j, None]
+            member.append(np.hstack([(lo <= e[:-1]) & (e[1:] <= hi),
+                                     (lo <= self.hi[j]) & (self.hi[j] <= hi),
+                                     np.zeros_like(lo, dtype=bool)]))
+            faces.append(e)
+        table = np.full([m.shape[1] for m in member], -1, dtype=np.intp)
+        for c in range(los.shape[0] - 1, -1, -1):
+            table[np.ix_(*[m[c] for m in member])] = c
+        return faces, table
+
+    def _cell_index(self, table, x):
+        """Id of the cell holding each row of x (table: _rho_table or _mu_table).
+
+        Cells are half-open [lo, hi) except on the domain's top face, which
+        belongs to the cells that reach it; overlapping cells go to the
+        lowest id. Raises ValidationError for points outside the domain or in
+        no cell.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if np.any(x < self.lo - 1e-12) or np.any(x > self.hi + 1e-12):
             raise ValidationError("point outside the domain")
-        idx = np.full(x.shape[0], -1, dtype=np.int64)
-        for c in range(los.shape[0]):
-            at_top = his[c] == self.hi
-            inside = np.all(x >= los[c], axis=1) & np.all(
-                (x < his[c]) | (at_top & (x <= his[c])), axis=1)
-            idx[inside & (idx < 0)] = c
+        faces, ids = table
+        key = []
+        for j, e in enumerate(faces):
+            b = np.searchsorted(e, x[:, j], side="right") - 1
+            b[(b < 0) | (b == e.size - 1)] = e.size
+            b[x[:, j] == self.hi[j]] = e.size - 1
+            key.append(b)
+        idx = ids[tuple(key)]
         if np.any(idx < 0):
             raise ValidationError("point not covered by the partition")
         return idx
 
     def rho_at(self, x):
         single = np.asarray(x).ndim == 1
-        v = self._rho[self._cell_index(self._rho_lo, self._rho_hi, x)]
+        v = self._rho[self._cell_index(self._rho_table, x)]
         return float(v[0]) if single else v
 
     def mu_at(self, x):
         single = np.asarray(x).ndim == 1
-        v = self._mu[self._cell_index(self._mu_lo, self._mu_hi, x)]
+        v = self._mu[self._cell_index(self._mu_table, x)]
         return float(v[0]) if single else v
 
     def _refined(self):

@@ -9,6 +9,8 @@ diagnostic for matchings against a quadrature grid). The continuum oracles
 table) give the targets the graph functional is expected to approach.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
@@ -21,6 +23,11 @@ from .kernels import surface_tension
 
 # exact assignments are O(n^3) worst case; beyond this, use tl1_proxy_1nn
 ASSIGNMENT_BUDGET = 4096
+
+# relative gap between the two nearest squared distances below which a
+# Voronoi query re-checks every point in the ball; far above the rounding
+# difference between k-d tree and recomputed distances
+TIE_MARGIN = 1e-9
 
 
 def empirical_risk(u, labels):
@@ -35,9 +42,19 @@ def empirical_risk(u, labels):
 class VoronoiClassifier:
     """1-NN extension of binary node values to the whole domain.
 
-    Prediction at x is the value at the nearest reference point; exact
-    distance ties go to the lowest point index. Querying a reference point
-    returns that point's own value whenever it is the unique nearest.
+    Prediction at x is the value at the nearest reference point by the
+    recomputed squared distance ((x - p) ** 2).sum(); exact ties go to the
+    lowest point index, for any number of equidistant points. Querying a
+    reference point returns that point's own value whenever it is the unique
+    nearest.
+
+    The k-d tree gives the two nearest points. When the larger of their
+    recomputed squared distances exceeds the smaller by more than the
+    relative TIE_MARGIN, the nearer one is the unique nearest point: every
+    other point is at least as far as the second in tree distance, and tree
+    and recomputed distances differ only by rounding. The remaining rows
+    collect every point within the second distance (widened by the margin)
+    in one ball query and take the lowest index among the exact minima.
     """
 
     def __init__(self, points, values):
@@ -56,15 +73,29 @@ class VoronoiClassifier:
     def __call__(self, x):
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = min(8, self.points.shape[0])
+        k = min(2, self.points.shape[0])
         _, nb = self._tree.query(x, k=k)
-        nb = nb.reshape(x.shape[0], -1)
-        # recompute distances so exact ties resolve by index, not tree order
+        nb = nb.reshape(x.shape[0], k)
         d2 = ((x[:, None, :] - self.points[nb]) ** 2).sum(axis=2)
-        tie = d2 == d2.min(axis=1, keepdims=True)
-        pick = np.where(tie, nb, self.points.shape[0]).min(axis=1)
+        pick = nb[np.arange(x.shape[0]), d2.argmin(axis=1)]
+        if k == 2:
+            far = d2.max(axis=1)
+            near = np.flatnonzero(far <= d2.min(axis=1) * (1.0 + TIE_MARGIN))
+            pick[near] = self._lowest_nearest(
+                x[near], np.sqrt(far[near]) * (1.0 + TIE_MARGIN))
         out = self.values[pick]
         return float(out[0]) if single else out
+
+    def _lowest_nearest(self, x, radius):
+        # every exact nearest point of x[i] lies within radius[i]
+        balls = self._tree.query_ball_point(x, radius)
+        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        rows = np.repeat(np.arange(len(balls)), counts)
+        idx = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                          count=int(counts.sum()))
+        d2 = ((x[rows] - self.points[idx]) ** 2).sum(axis=1)
+        order = np.lexsort((idx, d2, rows))
+        return idx[order[np.cumsum(counts) - counts]]
 
 
 def voronoi_extend(cloud, u):
@@ -279,9 +310,9 @@ def continuum_tv_indicator(model, interface):
     if verts.shape[1] != model.d:
         raise ValidationError("pieces need %d vertices each in d = %d"
                               % (model.d, model.d))
-    ci = model._cell_index(model._rho_lo, model._rho_hi, verts[:, 0])
+    ci = model._cell_index(model._rho_table, verts[:, 0])
     for v in range(1, model.d):
-        cv = model._cell_index(model._rho_lo, model._rho_hi, verts[:, v])
+        cv = model._cell_index(model._rho_table, verts[:, v])
         if np.any(cv != ci):
             raise ValidationError("interface piece crosses a density cell; split it first")
     if model.d == 2:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: round trips, determinism, exit codes, plots."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -87,6 +88,26 @@ def test_sweep_report_schema_and_determinism(tmp_path):
 
     # byte-identical modulo the wall-clock column, threads notwithstanding
     assert strip_runtime(first) == strip_runtime(second)
+
+
+# sha256 of the report below with runtime_ms blanked, recorded with the
+# 8-nearest Voronoi query and the per-cell loop for model cell lookups
+SMALL_CONSISTENT_REPORT_SHA256 = (
+    "62f76ed2a34692550212a4d52758033676d3435e4eb3c43333afa1cc6c0283f3")
+
+
+def test_sweep_report_bytes_pinned(tmp_path):
+    # every evaluation column (test risk, Bayes agreement, TL1 proxy) goes
+    # through the Voronoi query and the model's cell lookup
+    cfg = write_sweep_config(
+        tmp_path, n_list=[200, 500], eps_rule={"c": 0.7, "a": 1 / 3},
+        lambda_rule={"regime": "consistent", "c": 0.15, "b": 0.25},
+        seeds=[1, 2], test_m=2000)
+    assert run(tmp_path, "sweep", "--config", cfg) == 0
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert len(lines) == 5 and lines[0].endswith(",runtime_ms")
+    blanked = "\n".join(ln.rsplit(",", 1)[0] + "," for ln in lines)
+    assert hashlib.sha256(blanked.encode()).hexdigest() == SMALL_CONSISTENT_REPORT_SHA256
 
 
 def test_sweep_overfit_rows_reproduce_labels(tmp_path):

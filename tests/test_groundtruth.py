@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtvclass import DegenerateMedianError, ValidationError
 from gtvclass import groundtruth as gt
@@ -145,6 +146,115 @@ def test_monte_carlo_bayes_risk_convergence():
     ub = gt.bayes_classify(m, c.points)
     est = np.abs(ub - c.labels).mean()
     assert abs(est - 0.45) <= 3 * np.sqrt(0.45 * 0.55 / 100_000)
+
+
+def cell_index_oracle(model, los, his, x):
+    # one full-array pass per cell: half-open [lo, hi), closed where a cell
+    # reaches the domain's top face, the lowest cell id wins
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if np.any(x < model.lo - 1e-12) or np.any(x > model.hi + 1e-12):
+        raise ValidationError("point outside the domain")
+    idx = np.full(x.shape[0], -1, dtype=np.int64)
+    for c in range(los.shape[0]):
+        at_top = his[c] == model.hi
+        inside = np.all(x >= los[c], axis=1) & np.all(
+            (x < his[c]) | (at_top & (x <= his[c])), axis=1)
+        idx[inside & (idx < 0)] = c
+    if np.any(idx < 0):
+        raise ValidationError("point not covered by the partition")
+    return idx
+
+
+def outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except ValidationError as e:
+        return "error", str(e)
+
+
+def assert_lookups_match_oracle(model, x):
+    for table, los, his, vals, at in (
+            (model._rho_table, model._rho_lo, model._rho_hi, model._rho, model.rho_at),
+            (model._mu_table, model._mu_lo, model._mu_hi, model._mu, model.mu_at)):
+        want = outcome(cell_index_oracle, model, los, his, x)
+        got = outcome(model._cell_index, table, x)
+        if want[0] == "error":
+            assert got == want and outcome(at, x) == want
+        else:
+            assert got[0] == "ok" and np.array_equal(got[1], want[1])
+            assert np.array_equal(at(x), vals[want[1]])
+            assert at(x[0]) == vals[want[1][0]]
+    # want now holds the mu lookup
+    if want[0] == "error":
+        assert outcome(gt.bayes_classify, model, x) == want
+    else:
+        assert np.array_equal(gt.bayes_classify(model, x),
+                              (model._mu[want[1]] >= 0.5).astype(np.int64))
+
+
+@st.composite
+def split_partition(draw, lo, hi, depth):
+    """Cells (lo, hi) of a box cut in two along a drawn axis, recursively."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return [(lo, hi)]
+    j = draw(st.integers(0, len(lo) - 1))
+    cut = lo[j] + draw(st.floats(0.05, 0.95)) * (hi[j] - lo[j])
+    left_hi = hi[:j] + (cut,) + hi[j + 1:]
+    right_lo = lo[:j] + (cut,) + lo[j + 1:]
+    return (draw(split_partition(lo, left_hi, depth - 1))
+            + draw(split_partition(right_lo, hi, depth - 1)))
+
+
+@st.composite
+def split_models(draw):
+    d = draw(st.integers(1, 3))
+    lo = tuple(draw(st.floats(-2, 2)) for _ in range(d))
+    hi = tuple(a + draw(st.floats(0.1, 3)) for a in lo)
+    dens = draw(split_partition(lo, hi, 4))
+    w = [draw(st.floats(0.2, 3)) for _ in dens]
+    mass = sum(wi * np.prod(np.subtract(h, l)) for wi, (l, h) in zip(w, dens))
+    mu = draw(split_partition(lo, hi, 4))
+    mu_vals = [draw(st.floats(0, 1).filter(lambda v: v != 0.5)) for _ in mu]
+    return gt.GroundTruthModel(lo, hi, [(l, h, wi / mass) for wi, (l, h) in zip(w, dens)],
+                               [(l, h, v) for v, (l, h) in zip(mu_vals, mu)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=split_models(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cell_index_matches_per_cell_oracle(model, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    lo, hi = model.lo, model.hi
+    x = lo + rng.random((300, model.d)) * (hi - lo)
+    # every face of either partition on each axis (interior faces, the
+    # bottom and the closed top face), mixed into random coordinates
+    for j in range(model.d):
+        faces = np.unique(np.concatenate([model._rho_lo[:, j], model._rho_hi[:, j],
+                                          model._mu_lo[:, j], model._mu_hi[:, j]]))
+        on_face = rng.random(len(x)) < 0.5
+        x[on_face, j] = rng.choice(faces, int(on_face.sum()))
+    assert_lookups_match_oracle(model, x)
+    # a coordinate up to 1e-12 outside the domain, then beyond it
+    for delta in (rng.uniform(0, 1e-12), 1e-12, rng.uniform(1e-12, 1e-10), 0.5):
+        for j in range(model.d):
+            for side in (lo[j] - delta, hi[j] + delta):
+                y = x[:5].copy()
+                y[2, j] = side
+                assert_lookups_match_oracle(model, y)
+
+
+def test_cell_index_matches_oracle_on_slack_partitions():
+    # the partition checks allow 1e-12 of slack: gaps no cell covers, thin
+    # overlaps where the lowest id wins, and cells past the top face
+    for cells in ([((0.0,), (0.5,)), ((0.5 + 1e-13,), (1.0,))],
+                  [((0.0,), (0.5 + 1e-13,)), ((0.5,), (1.0,))],
+                  [((0.5,), (1.0,)), ((0.0,), (0.5 + 1e-13,))],
+                  [((0.0,), (0.5,)), ((0.5,), (1.0 + 5e-13,))],
+                  [((0.0,), (0.5,)), ((0.5,), (1.0 - 5e-13,))]):
+        model = gt.GroundTruthModel((0,), (1,), [(l, h, 1.0) for l, h in cells],
+                                    [(l, h, 0.3) for l, h in cells])
+        for v in (0.0, 0.5 - 1e-13, 0.5, 0.5 + 5e-14, 0.5 + 1e-13, 0.7,
+                  1.0 - 5e-13, 1.0 - 1e-13, 1.0, 1.0 + 5e-13, 1.0 + 2e-12):
+            assert_lookups_match_oracle(model, np.array([[v], [0.25]]))
 
 
 def test_model_validation_errors():

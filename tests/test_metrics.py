@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from gtvclass import ValidationError
@@ -55,6 +56,73 @@ def test_voronoi_duplicate_point_tie_lowest_index():
     pts = np.array([[0.5], [0.5], [2.0]])
     vc = mx.VoronoiClassifier(pts, np.array([1.0, 0.0, 0.0]))
     assert vc(np.array([0.5])) == 1.0
+
+
+def test_voronoi_tie_beyond_eight_goes_to_lowest_index():
+    # 12 points of the integer circle of radius 5: every squared distance
+    # from the origin is exactly 25, more ties than an 8-nearest query holds.
+    # The same circle scaled by 20 makes 24 points, so the k-d tree splits
+    # instead of scanning a single leaf in index order.
+    circle = np.array([(3, 4), (3, -4), (-3, 4), (-3, -4), (4, 3), (4, -3),
+                       (-4, 3), (-4, -3), (5, 0), (-5, 0), (0, 5), (0, -5)], float)
+    rng = np.random.Generator(np.random.Philox(8))
+    for cloud in (circle, np.concatenate([circle, 20 * circle])):
+        n = len(cloud)
+        orders = [np.arange(n), np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(40)]
+        for order in orders:
+            pts = cloud[order]
+            first = np.zeros(n)
+            first[np.flatnonzero((pts ** 2).sum(axis=1) == 25)[0]] = 1.0
+            assert mx.VoronoiClassifier(pts, first)(np.zeros(2)) == 1.0
+            assert mx.VoronoiClassifier(pts, 1.0 - first)(np.zeros(2)) == 0.0
+
+
+def brute_force_nearest(points, x):
+    # argmin of the recomputed squared distance; argmin keeps the lowest index
+    return ((x[:, None, :] - points[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def voronoi_cloud(kind, d, rng):
+    """Reference points and query points for one oracle example."""
+    if kind == "random":
+        pts = rng.random((int(rng.integers(3, 60)), d))
+        mids = (pts[rng.integers(0, len(pts), 20)] + pts[rng.integers(0, len(pts), 20)]) / 2
+        return pts, np.concatenate([rng.random((40, d)), pts, mids])
+    if kind == "lattice":
+        # integer lattice, scaled by a power of two and listed in random
+        # order: lattice points, edge midpoints and cell centres are exact
+        # many-way ties
+        k = {1: 12, 2: 5, 3: 3}[d]
+        grid = np.stack(np.meshgrid(*[np.arange(k)] * d, indexing="ij"), -1).reshape(-1, d)
+        scale = 2.0 ** int(rng.integers(-3, 4))
+        pts = scale * grid[rng.permutation(len(grid))]
+        offsets = [np.zeros(d), np.full(d, 0.5)] + [0.5 * np.eye(d)[j] for j in range(d)]
+        queries = np.concatenate([scale * (grid + o) for o in offsets])
+        return pts, np.concatenate([queries, scale * k * rng.random((20, d))])
+    if kind == "duplicates":
+        base = rng.random((int(rng.integers(2, 15)), d))
+        pts = base[rng.integers(0, len(base), int(rng.integers(2, 40)))]
+        return pts, np.concatenate([base, rng.random((40, d))])
+    # n = 1 or 2, the two possibly identical
+    pts = rng.random((int(rng.integers(1, 3)), d))
+    if len(pts) == 2 and rng.random() < 0.5:
+        pts[1] = pts[0]
+    return pts, np.concatenate([pts, pts.mean(axis=0, keepdims=True), rng.random((20, d))])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("random", "lattice", "duplicates", "tiny")),
+       d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_voronoi_matches_brute_force_oracle(kind, d, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    pts, x = voronoi_cloud(kind, d, rng)
+    want = brute_force_nearest(pts, x)
+    # one classifier per bit of the point index spells out the chosen point
+    ids = np.arange(len(pts))
+    got = np.zeros(len(x), dtype=np.int64)
+    for b in range(max(1, int(len(pts) - 1).bit_length())):
+        got |= mx.VoronoiClassifier(pts, (ids >> b) & 1)(x).astype(np.int64) << b
+    assert np.array_equal(got, want)
 
 
 def test_voronoi_validation():
