@@ -1,21 +1,17 @@
 """Graph total variation regularized binary classification on point clouds.
 
 Modules:
-    kernels      radial kernel profiles, rescalings, surface tension
+    kernels      radial kernel profiles, surface tension
     groundtruth  piecewise-constant data distributions, sampling, Bayes quantities
     graph        eps-neighborhood graphs, graph TV, discrete divergence
     solver       exact (min-cut) and relaxed (primal-dual) minimizers, certificate
-    metrics      risks, TL1 distances, transport and concentration diagnostics
+    metrics      risks, TL1 distances, transport bracket, concentration diagnostic
     cli          command line driver for datasets, solves, and regime sweeps
 """
 
 
 class ValidationError(ValueError):
     """Invalid argument or malformed input data."""
-
-
-class DegenerateMedianError(ValidationError):
-    """The set {u_B = 1} carries exactly half the mass, so the median is undefined."""
 
 
 __version__ = "0.1.0"

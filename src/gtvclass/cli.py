@@ -1,7 +1,10 @@
 """Experiment driver: data generation, solving, regime sweeps, and plots.
 
 Subcommands: gen, solve, certify, sweep, tl1, sigma, gamma-check, plot, risk.
-Global flags --seed / --out-dir / --threads apply to every subcommand.
+Global flags, accepted before or after the subcommand: --out-dir roots the
+relative output paths of every subcommand; --seed is read only by gen, risk
+and gamma-check (sweep takes its seeds from the config); --threads is read
+only by sweep.
 Everything is deterministic given the seeds; sweep reports are CSV with a
 versioned schema (the runtime_ms column is the one wall-clock exception),
 all other outputs are JSON records, plots are self-contained SVG.

@@ -4,8 +4,8 @@ pair search, graph total variation, and the discrete divergence operator.
 Weight convention: stored weights are w_ij = eta_eps(x_i - x_j) =
 eps^-d eta(|x_i - x_j|/eps), kept once per undirected pair i < j. The
 ordered double sums of the energy are recovered by a factor 2 in gtv and
-by two per-edge slots in EdgeField, which serves only divergence: the
-primal-dual solver stores its antisymmetric dual as one slot per edge.
+by the two per-edge slots of divergence's (m, 2) field: the primal-dual
+solver stores its antisymmetric dual as one slot per edge.
 """
 
 import numpy as np
@@ -23,29 +23,17 @@ class NeighborGraph:
     # w: (m,) eta_eps weights, all positive; every pair with a positive
     # weight is an edge
     # degree_sums: (n,) sum_j eta_eps(x_i - x_j) including the j = i term
-    def __init__(self, n, d, eps, ei, ej, w, degree_sums, points=None):
+    def __init__(self, n, eps, ei, ej, w, degree_sums):
         self.n = int(n)
-        self.d = int(d)
         self.eps = float(eps)
         self.ei = np.asarray(ei, dtype=np.int64)
         self.ej = np.asarray(ej, dtype=np.int64)
         self.w = np.asarray(w, dtype=float)
         self.degree_sums = np.asarray(degree_sums, dtype=float)
-        self.points = points
 
     @property
     def m(self):
         return self.ei.size
-
-
-class EdgeField:
-    """Values on ordered pairs: values[e, 0] is the i->j slot and
-    values[e, 1] the j->i slot of undirected edge e = (i, j), i < j."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != 2:
-            raise ValidationError("edge field must have shape (m, 2)")
 
 
 def build(cloud, eps, profile):
@@ -70,7 +58,7 @@ def build(cloud, eps, profile):
     deg = (np.bincount(gi, weights=w, minlength=n)
            + np.bincount(gj, weights=w, minlength=n)).astype(float)
     deg += profile.amplitude / eps ** d   # diagonal term eta_eps(0)
-    return NeighborGraph(n, d, eps, gi, gj, w, deg, points=points)
+    return NeighborGraph(n, eps, gi, gj, w, deg)
 
 
 def gtv(graph, u):
@@ -86,8 +74,9 @@ def gtv(graph, u):
 
 
 def divergence(graph, p):
-    """div(p)_i = sum_j eta_eps(x_i - x_j)(p_ji - p_ij)."""
-    vals = p.values if isinstance(p, EdgeField) else np.asarray(p, dtype=float)
+    """div(p)_i = sum_j eta_eps(x_i - x_j)(p_ji - p_ij) for an (m, 2) field p:
+    p[e, 0] is the i->j slot and p[e, 1] the j->i slot of edge e = (i, j)."""
+    vals = np.asarray(p, dtype=float)
     if vals.shape != (graph.m, 2):
         raise ValidationError("edge field does not match the graph")
     a = graph.w * (vals[:, 1] - vals[:, 0])

@@ -1,6 +1,6 @@
 """Synthetic ground truth on a box: piecewise-constant density rho and
 conditional mean mu over rectangular partitions, i.i.d. sampling, and the
-exactly computable Bayes quantities (risk, classifier, median label).
+exactly computable Bayes quantities (risk, classifier, constant risks).
 
 Cell conventions: cells are half-open [lo, hi) along each axis except at
 the domain's upper face, which is closed, so every point of the domain
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import DegenerateMedianError, ValidationError
+from . import ValidationError
 
 
 class GroundTruthModel:
@@ -158,7 +158,7 @@ class GroundTruthModel:
 class LabeledCloud:
     """Sample points with binary labels."""
 
-    def __init__(self, points, labels, seed=None, model_id=""):
+    def __init__(self, points, labels):
         self.points = np.asarray(points, dtype=float)
         self.labels = np.asarray(labels)
         if self.points.ndim != 2 or self.points.shape[0] != self.labels.shape[0]:
@@ -166,8 +166,6 @@ class LabeledCloud:
         if not np.all(np.isin(self.labels, (0, 1))):
             raise ValidationError("labels must be exactly 0 or 1")
         self.labels = self.labels.astype(np.int64)
-        self.seed = seed
-        self.model_id = model_id
 
     @property
     def n(self):
@@ -195,7 +193,7 @@ def sample(model, n, seed):
     lo, hi = model._rho_lo[idx], model._rho_hi[idx]
     x = lo + rng.random((n, model.d)) * (hi - lo)
     y = (rng.random(n) < model.mu_at(x)).astype(np.int64)
-    return LabeledCloud(x, y, seed=seed, model_id=model.name)
+    return LabeledCloud(x, y)
 
 
 def bayes_classify(model, x):
@@ -211,27 +209,10 @@ def bayes_risk(model):
     return sum(vol * rho * min(mu, 1.0 - mu) for vol, rho, mu in model._refined())
 
 
-def median_label(model):
-    """1 iff the Bayes-1 region carries more than half the mass.
-
-    Raises DegenerateMedianError when the mass is exactly 1/2 (the symmetric
-    quadrant model is exactly degenerate).
-    """
-    p1 = sum(vol * rho for vol, rho, mu in model._refined() if mu >= 0.5)
-    if abs(p1 - 0.5) <= 1e-12:
-        raise DegenerateMedianError("mass of {u_B = 1} is exactly 1/2")
-    return int(p1 > 0.5)
-
-
 def risk_of_constant(model, c):
     """Risk of the constant labeling c: integral of (|c-1| mu + |c| (1-mu)) rho."""
     return sum(vol * rho * (abs(c - 1.0) * mu + abs(c) * (1.0 - mu))
                for vol, rho, mu in model._refined())
-
-
-def label_one_probability(model):
-    """P(y = 1) = integral of mu rho."""
-    return sum(vol * rho * mu for vol, rho, mu in model._refined())
 
 
 # -- built-in models --------------------------------------------------------
@@ -272,17 +253,6 @@ BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
 
 # -- persistence ------------------------------------------------------------
 
-def model_to_dict(model):
-    def cells(lo, hi, val):
-        return [{"lo": list(map(float, l)), "hi": list(map(float, h)),
-                 "value": float(v)} for l, h, v in zip(lo, hi, val)]
-    return {"name": model.name,
-            "domain": {"lo": list(map(float, model.lo)),
-                       "hi": list(map(float, model.hi))},
-            "density_cells": cells(model._rho_lo, model._rho_hi, model._rho),
-            "mu_cells": cells(model._mu_lo, model._mu_hi, model._mu)}
-
-
 def model_from_dict(obj):
     try:
         dom = obj["domain"]
@@ -292,12 +262,6 @@ def model_from_dict(obj):
                                 name=obj.get("name", "model"))
     except (KeyError, TypeError) as e:
         raise ValidationError("malformed model description: %s" % e) from None
-
-
-def save_model(model, path):
-    with open(path, "w") as f:
-        json.dump(model_to_dict(model), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def load_model(path):

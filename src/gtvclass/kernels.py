@@ -1,4 +1,4 @@
-"""Radial kernel profiles eta, their eps-rescalings, and surface tension.
+"""Radial kernel profiles eta and their surface tension.
 
 A profile is a non-increasing radial function eta(r) >= 0 with
 integral_0^inf eta(r) r^d dr finite. Supported shapes:
@@ -51,12 +51,6 @@ class KernelProfile:
         return "KernelProfile(%r, scale=%g, amplitude=%g)" % (
             self.shape, self.scale, self.amplitude)
 
-    def __eq__(self, other):
-        return (isinstance(other, KernelProfile)
-                and self.shape == other.shape
-                and self.scale == other.scale
-                and self.amplitude == other.amplitude)
-
 
 def eval(profile, r):
     """eta(r) for scalar or array r >= 0 (truncated profiles return 0 past support)."""
@@ -74,61 +68,28 @@ def eval(profile, r):
     return float(v) if v.ndim == 0 else v
 
 
-def eval_scaled(profile, z, eps, d=None):
-    """eta_eps(z) = eps^-d eta(|z|/eps) for a d-vector z or an (m, d) batch."""
-    if not (eps > 0):
-        raise ValidationError("eps must be positive")
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    z = np.atleast_2d(z)
-    if d is None:
-        d = z.shape[1]
-    r = np.sqrt((z * z).sum(axis=1))
-    v = eval(profile, r / eps) / eps ** d
-    return float(v[0]) if single else v
-
-
 def _angular_factor(d):
     # integral over the unit sphere S^{d-1} of |omega_1|, equal to twice the
     # volume of the unit ball in R^{d-1}
     return 2.0 * np.pi ** ((d - 1) / 2.0) / _gamma((d + 1) / 2.0)
 
 
-def surface_tension(profile, d, method="auto"):
+def surface_tension(profile, d):
     """sigma_eta = integral over R^d of eta(|h|) |h_1| dh.
 
     In radial-angular form this is A_d * integral_0^inf eta(r) r^d dr with
     A_d the angular factor above. The indicator has the closed form
-    amplitude * A_d * scale^(d+1) / (d+1); other shapes (and
-    method="quadrature") use adaptive quadrature on [0, support_radius]
-    with 1e-8 absolute tolerance.
+    amplitude * A_d * scale^(d+1) / (d+1); other shapes use adaptive
+    quadrature on [0, support_radius] with 1e-8 absolute tolerance.
     """
     if d < 1 or int(d) != d:
         raise ValidationError("dimension must be a positive integer")
     A = _angular_factor(d)
-    if method == "auto" and profile.shape == "indicator":
+    if profile.shape == "indicator":
         return profile.amplitude * A * profile.scale ** (d + 1) / (d + 1)
-    if method not in ("auto", "quadrature"):
-        raise ValidationError("unknown method %r" % (method,))
     val, _ = quad(lambda r: eval(profile, r) * r ** d, 0.0,
                   profile.support_radius, epsabs=1e-8, limit=200)
     return A * val
-
-
-def normalize_for_theory(profile):
-    """Rescale a profile so eta(r) >= 1 on [0, 2].
-
-    Monotonicity reduces the condition to eta(2) >= 1: the support is
-    stretched to cover [0, 2] if needed and the amplitude divided by the
-    value at 2, which normalizes eta(2) to exactly 1.
-    """
-    scale = profile.scale
-    probe = KernelProfile(profile.shape, scale, profile.amplitude)
-    if probe.support_radius < 2.0:
-        scale *= 2.0 / probe.support_radius
-        probe = KernelProfile(profile.shape, scale, profile.amplitude)
-    v2 = eval(probe, 2.0)
-    return KernelProfile(profile.shape, scale, profile.amplitude / v2)
 
 
 _SHAPE_ALIASES = {"indicator": "indicator", "exp": "exponential",

@@ -3,8 +3,8 @@
 Covers the empirical side (misclassification rates, Voronoi/1-NN extension of
 node labelings to the whole domain, Monte-Carlo test risk with binomial CIs)
 and the transport side (exact TL1 between equal-size weighted point sets via
-an assignment solver, a 1-NN proxy usable at any scale, a sup-displacement
-diagnostic for matchings against a quadrature grid). The continuum oracles
+an assignment solver, a 1-NN proxy usable at any scale, a bracket on the
+infinity-transport distance to a quadrature grid). The continuum oracles
 (rho^2-weighted interface measure and the discrete-vs-continuum comparison
 table) give the targets the graph functional is expected to approach.
 """
@@ -226,24 +226,34 @@ def quadrature_points(model, n):
     return np.concatenate(parts, axis=0)
 
 
-def transport_sup_diagnostic(cloud, model, grid_res, seed=None):
-    """Worst-case displacement of an optimal matching grid -> cloud.
+def transport_bracket(cloud, model):
+    """Bracket (lower, upper) on the infinity-transport distance between the
+    cloud and the model's n-point quadrature grid, n the cloud's size.
 
-    Matches the n = grid_res^d deterministic quadrature points of the model
-    to the cloud by minimum total Euclidean cost and reports the largest
-    per-pair displacement. The seed argument is accepted for interface parity
-    but unused: the quadrature grid is deterministic.
+    lower is the larger of the two directed nearest-neighbour maxima, grid to
+    cloud and cloud to grid: every bijection moves each point at least to its
+    nearest point on the other side. It takes two k-d tree queries at any n.
+    upper is the largest step of one bijection, the assignment minimizing
+    the sum of (D / max D)^16 over the distance matrix D, so that its long
+    steps dominate the cost. Above ASSIGNMENT_BUDGET points upper is the
+    domain's diameter, valid for a cloud inside the domain.
+
+    The grid only approximates the model's measure nu, so grid-to-cloud
+    distances bound d_inf(nu, nu_n) only up to the grid's own distance to nu.
     """
     points = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
-    n, d = points.shape
-    if grid_res ** d != n:
-        raise ValidationError("grid_res^%d must equal the cloud size" % d)
+    n = points.shape[0]
+    if n == 0:
+        raise ValidationError("empty cloud")
+    grid = quadrature_points(model, n)
+    to_cloud, _ = cKDTree(points).query(grid)
+    to_grid, _ = cKDTree(grid).query(points)
+    lower = float(max(to_cloud.max(), to_grid.max()))
     if n > ASSIGNMENT_BUDGET:
-        raise ValidationError("assignment budget is n <= %d" % ASSIGNMENT_BUDGET)
-    disp = cdist(quadrature_points(model, n), points)
-    rows, cols = linear_sum_assignment(disp)
-    picked = disp[rows, cols]
-    return TransportPlanResult(cols, float(picked.sum() / n), float(picked.max()))
+        return lower, float(np.linalg.norm(model.hi - model.lo))
+    disp = cdist(grid, points)
+    rows, cols = linear_sum_assignment((disp / (disp.max() or 1.0)) ** 16)
+    return lower, float(disp[rows, cols].max())
 
 
 def _tent_partition(points, lo, eps):

@@ -193,14 +193,14 @@ def test_divergence_symmetric_field_is_zero():
     rng = np.random.Generator(np.random.Philox(8))
     g = random_graph(rng, n=40, d=2, eps=0.4)
     s = rng.standard_normal(g.m)
-    p = gr.EdgeField(np.stack([s, s], axis=1))
+    p = np.stack([s, s], axis=1)
     assert np.allclose(gr.divergence(g, p), 0.0, atol=1e-14)
 
 
 def test_divergence_single_edge_hand_value():
     g = gr.build(np.array([[0.0], [0.5]]), 1.0, KernelProfile("indicator"))
     w = g.w[0]
-    p = gr.EdgeField(np.array([[1.0, 0.0]]))
+    p = np.array([[1.0, 0.0]])
     assert np.allclose(gr.divergence(g, p), [-w, +w])
 
 
@@ -208,8 +208,8 @@ def test_divergence_sums_to_zero():
     rng = np.random.Generator(np.random.Philox(9))
     for _ in range(10):
         g = random_graph(rng)
-        p = gr.EdgeField(rng.standard_normal((g.m, 2)))
-        assert abs(gr.divergence(g, p).sum()) <= 1e-10 * max(1.0, np.abs(p.values).sum())
+        p = rng.standard_normal((g.m, 2))
+        assert abs(gr.divergence(g, p).sum()) <= 1e-10 * max(1.0, np.abs(p).sum())
 
 
 def test_divergence_shape_mismatch():
@@ -224,10 +224,10 @@ def test_divergence_theorem_identity():
     for _ in range(50):
         g = random_graph(rng)
         v = rng.standard_normal(g.n)
-        p = gr.EdgeField(rng.standard_normal((g.m, 2)))
+        p = rng.standard_normal((g.m, 2))
         lhs = float(v @ gr.divergence(g, p))
-        rhs = float(np.sum(g.w * (p.values[:, 0] * (v[g.ej] - v[g.ei])
-                                  + p.values[:, 1] * (v[g.ei] - v[g.ej]))))
+        rhs = float(np.sum(g.w * (p[:, 0] * (v[g.ej] - v[g.ei])
+                                  + p[:, 1] * (v[g.ei] - v[g.ej]))))
         scale = max(1.0, abs(rhs))
         assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -245,7 +245,7 @@ def test_gtv_duality_on_small_graphs():
         u = rng.standard_normal(g.n)
         best = -np.inf
         for signs in itertools.product((-1.0, 1.0), repeat=2 * g.m):
-            p = gr.EdgeField(np.array(signs).reshape(g.m, 2))
+            p = np.array(signs).reshape(g.m, 2)
             best = max(best, float(u @ gr.divergence(g, p)))
         assert gr.gtv(g, u) == pytest.approx(best / (g.n ** 2 * g.eps), rel=1e-10)
 

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtvclass import DegenerateMedianError, ValidationError
+from gtvclass import ValidationError
 from gtvclass import groundtruth as gt
 
 
@@ -112,23 +114,15 @@ def test_bayes_risk_oracles():
         assert gt.bayes_risk(constant_mu_model(0.5 + delta)) == pytest.approx(0.5 - delta, abs=1e-12)
 
 
-def test_median_label():
-    assert gt.median_label(gt.asymmetric_model()) == 1
-    assert gt.median_label(constant_mu_model(0.9)) == 1
-    with pytest.raises(DegenerateMedianError):
-        gt.median_label(gt.quadrant_model())
-
-
 def test_risk_of_constant_oracles():
     q = gt.quadrant_model()
     assert gt.risk_of_constant(q, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert gt.risk_of_constant(q, 0.0) == pytest.approx(gt.label_one_probability(q), abs=1e-12)
+    assert gt.risk_of_constant(q, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert gt.risk_of_constant(constant_mu_model(1.0), 1.0) == pytest.approx(0.0, abs=1e-12)
     a = gt.asymmetric_model()
     assert gt.risk_of_constant(a, 1.0) == pytest.approx(0.49, abs=1e-12)
     assert gt.risk_of_constant(a, 0.0) == pytest.approx(0.51, abs=1e-12)
     assert gt.bayes_risk(a) == pytest.approx(0.45, abs=1e-12)
-    assert gt.label_one_probability(a) == pytest.approx(0.51, abs=1e-12)
 
 
 def test_bayes_risk_below_constant_risks_on_random_models():
@@ -279,10 +273,14 @@ def test_model_validation_errors():
 def test_model_json_round_trip(tmp_path):
     m = gt.asymmetric_model()
     p = tmp_path / "model.json"
-    gt.save_model(m, p)
+    p.write_text(json.dumps({
+        "name": "asymmetric", "domain": {"lo": [0, 0], "hi": [1, 1]},
+        "density_cells": [{"lo": [0, 0], "hi": [1, 1], "value": 1.0}],
+        "mu_cells": [{"lo": [0, 0], "hi": [0.6, 1], "value": 0.55},
+                     {"lo": [0.6, 0], "hi": [1, 1], "value": 0.45}]}))
     m2 = gt.load_model(p)
+    assert m2.name == "asymmetric"
     assert gt.bayes_risk(m2) == pytest.approx(gt.bayes_risk(m), abs=1e-15)
-    assert gt.median_label(m2) == 1
     x = np.array([[0.1, 0.9], [0.9, 0.9]])
     assert np.array_equal(gt.bayes_classify(m2, x), gt.bayes_classify(m, x))
 

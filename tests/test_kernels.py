@@ -39,24 +39,6 @@ def test_bad_profile_rejected():
         KernelProfile("indicator", amplitude=-1.0)
 
 
-def test_eval_scaled_hand_values():
-    p = KernelProfile("indicator")
-    assert kernels.eval_scaled(p, np.array([0.4, 0.0]), 1.0) == 1.0
-    # 0.5^-2 * eta(0.8) = 4
-    assert kernels.eval_scaled(p, np.array([0.4, 0.0]), 0.5) == 4.0
-    # |z|/eps = 4 > 1
-    assert kernels.eval_scaled(p, np.array([2.0, 0.0]), 0.5) == 0.0
-
-
-def test_eval_scaled_batch_and_bad_eps():
-    p = KernelProfile("indicator")
-    z = np.array([[0.4, 0.0], [2.0, 0.0]])
-    v = kernels.eval_scaled(p, z, 0.5)
-    assert np.array_equal(v, [4.0, 0.0])
-    with pytest.raises(ValidationError):
-        kernels.eval_scaled(p, z, 0.0)
-
-
 def test_surface_tension_indicator_closed_forms():
     p = KernelProfile("indicator")
     assert kernels.surface_tension(p, 1) == pytest.approx(1.0, rel=1e-6)
@@ -69,8 +51,10 @@ def test_surface_tension_quadrature_matches_indicator_closed_form():
         p = KernelProfile("indicator", scale=scale, amplitude=amp)
         for d in (1, 2, 3):
             closed = amp * angular(d) * scale ** (d + 1) / (d + 1)
-            q = kernels.surface_tension(p, d, method="quadrature")
-            assert q == pytest.approx(closed, rel=1e-6)
+            val, _ = quad(lambda r: kernels.eval(p, r) * r ** d, 0.0,
+                          p.support_radius, epsabs=1e-10, limit=200)
+            assert angular(d) * val == pytest.approx(closed, rel=1e-6)
+            assert kernels.surface_tension(p, d) == pytest.approx(closed, rel=1e-12)
 
 
 def test_surface_tension_exponential_analytic():
@@ -126,19 +110,6 @@ def test_scaled_mass_independent_of_eps():
                 m, _ = quad(f, 0, p.support_radius * eps, epsabs=1e-10, limit=400)
                 vals.append(sphere[d] * m)
             assert abs(vals[0] - vals[1]) <= 1e-4 * abs(vals[1])
-
-
-def test_normalize_for_theory():
-    r = np.linspace(0, 2, 101)
-    for p in (KernelProfile("indicator", scale=0.5),
-              KernelProfile("indicator", scale=3.0, amplitude=0.2),
-              KernelProfile("exponential", scale=0.7),
-              KernelProfile("gaussian", scale=0.2, amplitude=5.0)):
-        q = kernels.normalize_for_theory(p)
-        v = kernels.eval(q, r)
-        assert np.all(v >= 1.0 - 1e-12)
-        # still a valid non-increasing profile
-        assert np.all(np.diff(v) <= 1e-12)
 
 
 def test_parse_kernel():

@@ -6,7 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from gtvclass import ValidationError
 from gtvclass import metrics as mx
@@ -329,36 +332,79 @@ def test_quadrature_counts_and_apportionment():
     assert np.all((q >= 0) & (q <= 1))
 
 
+def uniform_box(d):
+    return GroundTruthModel((0,) * d, (1,) * d, [((0,) * d, (1,) * d, 1.0)],
+                            [((0,) * d, (1,) * d, 1.0)], name="uniform%d" % d)
+
+
+def bottleneck_oracle(grid, points):
+    # smallest t whose pairs at distance <= t hold a perfect matching, found
+    # by binary search over the distinct distances
+    disp = cdist(grid, points)
+    ts = np.unique(disp)
+    lo, hi = 0, ts.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        match = maximum_bipartite_matching(csr_matrix(disp <= ts[mid]),
+                                           perm_type="column")
+        if np.all(match >= 0):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ts[lo]
+
+
+def test_transport_bracket_holds_exact_bottleneck():
+    tilted = GroundTruthModel((0, 0), (1, 1),
+                              [((0, 0), (0.3, 1), 2.0), ((0.3, 0), (1, 1), 4 / 7)],
+                              [((0, 0), (1, 1), 1.0)], name="tilted")
+    cases = ([(uniform_box(1), n) for n in (16, 37, 200)]
+             + [(uniform_box(2), n) for n in (16, 50, 64, 97, 150, 200)]
+             + [(tilted, n) for n in (23, 81, 140)]
+             + [(uniform_box(3), n) for n in (27, 30, 64, 125, 199)])
+    for k, (model, n) in enumerate(cases):
+        cloud = sample(model, n, (71, k))
+        lower, upper = mx.transport_bracket(cloud, model)
+        exact = bottleneck_oracle(mx.quadrature_points(model, n), cloud.points)
+        assert lower <= exact <= upper, (model.name, n, lower, exact, upper)
+
+
 def test_transport_self_match_is_zero():
     model = uniform_square()
     q = mx.quadrature_points(model, 49)
-    r = mx.transport_sup_diagnostic(SimpleNamespace(points=q), model, 7)
-    assert r.sup_displacement == 0.0 and r.cost == 0.0
+    assert mx.transport_bracket(SimpleNamespace(points=q), model) == (0.0, 0.0)
 
 
 def test_transport_single_point():
     model = uniform_square()
     z = np.array([[0.1, 0.9]])
-    r = mx.transport_sup_diagnostic(z, model, 1)
+    lower, upper = mx.transport_bracket(z, model)
     expect = float(np.linalg.norm(z[0] - mx.quadrature_points(model, 1)[0]))
-    assert r.sup_displacement == pytest.approx(expect)
+    assert lower == pytest.approx(expect)
+    assert upper == pytest.approx(expect)
 
 
-def test_transport_count_mismatch():
+def test_transport_over_budget_upper_is_diameter(monkeypatch):
     model = uniform_square()
-    with pytest.raises(ValidationError):
-        mx.transport_sup_diagnostic(np.zeros((10, 2)), model, 3)
+    monkeypatch.setattr(mx, "ASSIGNMENT_BUDGET", 100)
+    for n in (100, 101):
+        cloud = sample(model, n, (57, n))
+        lower, upper = mx.transport_bracket(cloud, model)
+        disp = cdist(mx.quadrature_points(model, n), cloud.points)
+        assert lower == max(disp.min(axis=0).max(), disp.min(axis=1).max())
+        assert (upper < np.sqrt(2.0)) if n == 100 else (upper == np.sqrt(2.0))
 
 
 def test_transport_sup_decay_trend():
-    # sup displacement ~ log(n)^{3/4} / sqrt(n) for uniform clouds in d = 2
+    # both ends ~ log(n)^{3/4} / sqrt(n) for uniform clouds in d = 2
     model = uniform_square()
     ratios = []
-    for n, res in ((256, 16), (1024, 32), (4096, 64)):
+    for n in (256, 1024, 4096):
         cloud = sample(model, n, (55, n))
-        r = mx.transport_sup_diagnostic(cloud, model, res)
-        ratios.append(r.sup_displacement / (np.log(n) ** 0.75 / np.sqrt(n)))
-    assert max(ratios) / min(ratios) < 4.0
+        bracket = mx.transport_bracket(cloud, model)
+        ratios.append(np.array(bracket) / (np.log(n) ** 0.75 / np.sqrt(n)))
+    ratios = np.array(ratios)
+    assert np.all(ratios.max(axis=0) / ratios.min(axis=0) < 4.0)
 
 
 # ---------------------------------------------------------------- concentration

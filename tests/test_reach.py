@@ -1,0 +1,49 @@
+"""Every public top-level name of the package is reached by something other
+than its own definition and its unit tests: the package itself, the
+benchmark, or the acceptance scoreboard."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "gtvclass").glob("*.py"))
+USERS = PACKAGE + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+# public but not yet reached; each entry names the ROADMAP item that wires it in
+ALLOWED = {
+    "transport_bracket",   # ROADMAP item 5: eps / d_lower in the sweep sidecar
+}
+
+
+def _references(node):
+    # identifiers used as names or attributes, imported names, and dotted
+    # strings such as the ones bench/spans.py rebinds by name
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(p.isidentifier() for p in parts):
+                yield from parts
+
+
+def test_every_public_name_is_reached():
+    defined = {}
+    used = set()
+    for path in USERS:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if path in PACKAGE and is_def and not node.name.startswith("_"):
+                defined[node.name] = path.stem
+                # a definition's own body does not count as a use of its name
+                used.update(r for r in _references(node) if r != node.name)
+            else:
+                used.update(_references(node))
+    unreached = sorted("%s.%s" % (defined[name], name)
+                       for name in set(defined) - used - ALLOWED)
+    assert not unreached, unreached
