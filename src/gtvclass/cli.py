@@ -3,13 +3,14 @@
 Subcommands: gen, solve, certify, sweep, tl1, sigma, gamma-check, plot, risk.
 Global flags, accepted before or after the subcommand: --out-dir roots the
 relative output paths of every subcommand; --seed is read only by gen, risk
-and gamma-check (sweep takes its seeds from the config); --threads is read
-only by sweep.
+and gamma-check (sweep takes its seeds from the config); --threads (>= 1)
+is read only by sweep. risk scores a solution with the sweep's evaluation.
 Everything is deterministic given the seeds; sweep reports are CSV with a
 versioned schema (the runtime_ms column is the one wall-clock exception),
 all other outputs are JSON records, plots are self-contained SVG.
 
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Exit codes: 0 success, 2 invalid input (flags, JSON fields, report columns,
+config keys), 3 I/O error.
 """
 
 import argparse
@@ -69,70 +70,120 @@ def _out_path(path, out_dir):
     return path
 
 
-def _emit_json(record, args):
+def _emit_json(record, args, out=None):
     text = json.dumps(record, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(_out_path(args.out, args.out_dir), "w") as fh:
+    if out:
+        with open(_out_path(out, args.out_dir), "w") as fh:
             fh.write(text + "\n")
     print(text)
+
+
+def _field(record, key, kind, where):
+    """kind(record[key]); a missing or malformed field is a ValidationError."""
+    try:
+        return kind(record[key])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError("%s: missing or malformed %r (%s)"
+                              % (where, key, exc)) from None
+
+
+def _int_from(lo):
+    """Converter to an integer >= lo, from a flag's text or a JSON value."""
+    def integer(value):
+        if isinstance(value, (bool, float)) or int(value) < lo:
+            raise ValueError("%r is not an integer >= %d" % (value, lo))
+        return int(value)
+    return integer
+
+
+def _ints_from(lo):
+    def integers(value):
+        if not isinstance(value, list) or not value:
+            raise ValueError("expected a nonempty list")
+        return [_int_from(lo)(v) for v in value]
+    return integers
+
+
+def _read(raw, kinds, where, **defaults):
+    """{key: kinds[key](raw[key])}; unknown or absent keys are a ValidationError."""
+    if not isinstance(raw, dict):
+        raise ValidationError("%s must be a JSON object" % where)
+    unknown = sorted(set(raw) - set(kinds))
+    if unknown:
+        raise ValidationError("%s has unknown keys %s" % (where, unknown))
+    raw = {**defaults, **raw}
+    return {key: _field(raw, key, kind, where) for key, kind in kinds.items()}
+
+
+def _load_solution(path, cloud):
+    ub = _field(_load_json(path), "u_binary",
+                lambda v: np.asarray(v, dtype=float), path)
+    if ub.shape != (cloud.n,):
+        raise ValidationError("solution length does not match the dataset")
+    return ub
 
 
 # ------------------------------------------------------------------ sweep
 
 class SweepConfig:
-    """Validated sweep description: model, schedules, seeds, output paths.
+    """Validated sweep description: each key of KEYS becomes an attribute.
 
     eps_rule {c, a} is c * n^-a. lambda_rule {regime, c, b} depends on the
     regime tag: overfit c*eps*n^-b, consistent c*n^-b, fixed c, underfit
-    c*n^+b. Unknown keys in either rule are rejected.
+    c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
     """
 
+    KEYS = {"model": str, "n_list": _ints_from(1), "eps_rule": dict,
+            "lambda_rule": dict, "kernel": str, "seeds": _ints_from(0),
+            "test_m": _int_from(100), "report": str}
+
     def __init__(self, raw):
-        try:
-            self.model_ref = raw["model"]
-            self.n_list = [int(n) for n in raw["n_list"]]
-            self.eps_c = float(raw["eps_rule"]["c"])
-            self.eps_a = float(raw["eps_rule"]["a"])
-            self.lambda_rule = dict(raw["lambda_rule"])
-            self.kernel = raw.get("kernel", "indicator")
-            self.seeds = [int(s) for s in raw["seeds"]]
-            self.test_m = int(raw.get("test_m", 2000))
-            self.report = raw.get("report", "report.csv")
-            self.plots_dir = raw.get("plots_dir")
-        except KeyError as exc:
-            raise ValidationError("sweep config is missing key %s" % exc)
-        for rule, keys in (("eps_rule", {"c", "a"}),
-                           ("lambda_rule", {"regime", "c", "b"})):
-            unknown = sorted(set(raw[rule]) - keys)
-            if unknown:
-                raise ValidationError("%s has unknown keys %s" % (rule, unknown))
+        self.__dict__.update(_read(raw, self.KEYS, "sweep config", kernel="indicator",
+                                   test_m=2000, report="report.csv"))
+        self.eps_c, self.eps_a = _read(self.eps_rule, {"c": float, "a": float},
+                                       "eps_rule").values()
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s"
                                   % (REGIMES,))
-        if not self.n_list or min(self.n_list) < 1:
-            raise ValidationError("n_list must be nonempty positive")
-        if not self.seeds:
-            raise ValidationError("need at least one seed")
-        if self.eps_c <= 0 or float(self.lambda_rule.get("c", 1.0)) <= 0:
+        _, self.lam_c, self.lam_b = _read(
+            self.lambda_rule, {"regime": str, "c": float, "b": float}, "lambda_rule",
+            c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
+        if self.eps_c <= 0 or self.lam_c <= 0:
             raise ValidationError("rule constants must be positive")
 
     def eps_of(self, n):
         return self.eps_c * n ** (-self.eps_a)
 
     def lambda_of(self, n, eps):
-        c = float(self.lambda_rule.get("c", 1.0))
+        c, b = self.lam_c, self.lam_b
         if self.regime == "overfit":
-            lam = c * eps * n ** (-float(self.lambda_rule.get("b", 0.0)))
+            lam = c * eps * n ** (-b)
         elif self.regime == "consistent":
-            lam = c * n ** (-float(self.lambda_rule.get("b", 0.25)))
+            lam = c * n ** (-b)
         elif self.regime == "fixed":
             lam = c
         else:
-            lam = c * n ** float(self.lambda_rule.get("b", 0.0))
+            lam = c * n ** b
         if not (lam > 0):
             raise ValidationError("lambda rule produced a nonpositive value")
         return lam
+
+
+def _evaluate(cloud, u_binary, model, m, seed):
+    """The report's evaluation columns for a binary labeling of the cloud;
+    the three fresh m-point draws use streams (seed, 101), (seed, 102), (seed, 103)."""
+    er = empirical_risk(u_binary, cloud.labels)
+    vc = voronoi_extend(cloud, u_binary)
+    tr, ci = test_risk(vc, model, m, (seed, 101))
+    return {
+        "empirical_risk": er, "label_agreement": 1.0 - er, "test_risk": tr,
+        "ci_halfwidth": ci, "excess_risk": tr - bayes_risk(model),
+        "bayes_agreement": bayes_agreement(vc, model, m, (seed, 102)),
+        "tl1_proxy": tl1_proxy_1nn(
+            cloud, u_binary, model,
+            lambda x: bayes_classify(model, x).astype(float), m, (seed, 103)),
+    }
 
 
 def _run_one(model, profile, cfg, n, seed):
@@ -144,42 +195,30 @@ def _run_one(model, profile, cfg, n, seed):
     t0 = perf_counter()
     res = solve_mincut(g, cloud.labels, lam)
     ms = (perf_counter() - t0) * 1000.0
-    ub = res.u_binary
-    er = empirical_risk(ub, cloud.labels)
-    vc = voronoi_extend(cloud, ub)
-    tr, ci = test_risk(vc, model, cfg.test_m, (seed, 101))
-    ba = bayes_agreement(vc, model, cfg.test_m, (seed, 102))
-    tp = tl1_proxy_1nn(cloud, ub, model,
-                       lambda x: bayes_classify(model, x).astype(float),
-                       cfg.test_m, (seed, 103))
     return {
         "schema_version": SCHEMA_VERSION, "n": n, "eps": eps, "lambda": lam,
         "regime": cfg.regime, "seed": seed, "method": res.method,
         "iters": res.iters, "energy": res.energy_binary,
-        "gtv_of_solution": gtv(g, ub), "empirical_risk": er,
-        "label_agreement": 1.0 - er, "bayes_agreement": ba, "test_risk": tr,
-        "ci_halfwidth": ci, "excess_risk": tr - bayes_risk(model),
-        "tl1_proxy": tp, "certificate": bool(cert), "margin": margin,
-        "components": num_components(g), "runtime_ms": round(ms, 3),
+        "gtv_of_solution": gtv(g, res.u_binary), "certificate": bool(cert),
+        "margin": margin, "components": num_components(g),
+        "runtime_ms": round(ms, 3),
+        **_evaluate(cloud, res.u_binary, model, cfg.test_m, seed),
     }
 
 
 def run_sweep(cfg, out_dir=".", threads=1):
-    """Run the whole (n, seed) grid and persist the report CSV.
+    """Run the whole (n, seed) grid on `threads` workers, persist the report.
 
-    Rows are computed independently (optionally in parallel) and sorted by
-    (n, seed) before writing, so the output bytes do not depend on scheduling;
-    only runtime_ms varies between identical runs.
+    Rows are computed independently and sorted by (n, seed) before writing,
+    so the output bytes do not depend on scheduling; only runtime_ms varies
+    between identical runs.
     """
-    model = _resolve_model(cfg.model_ref)
+    model = _resolve_model(cfg.model)
     profile = parse_kernel(cfg.kernel)
     jobs = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(lambda js: _run_one(model, profile, cfg, *js), jobs))
-    else:
-        rows = [_run_one(model, profile, cfg, n, s) for n, s in jobs]
-    rows.sort(key=lambda r: (r["n"], r["seed"]))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        rows = sorted(ex.map(lambda job: _run_one(model, profile, cfg, *job), jobs),
+                      key=lambda r: (r["n"], r["seed"]))
     path = _out_path(cfg.report, out_dir)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -276,43 +315,6 @@ def _curves_svg(series, title, ylabel):
     return _svg_doc(title, body)
 
 
-def emit_plots(rows=None, out_dir=".", regime=None, cloud=None, u_binary=None):
-    """Write the requested SVG files; returns the list of paths written."""
-    written = []
-    if rows is not None:
-        if regime is not None:
-            have = sorted({r["regime"] for r in rows})
-            rows = [r for r in rows if r["regime"] == regime]
-            if not rows:
-                raise ValidationError("no rows for regime %r; available: %s"
-                                      % (regime, ", ".join(have)))
-        series = []
-        for tag in sorted({r["regime"] for r in rows}):
-            sub = [r for r in rows if r["regime"] == tag]
-            ns = sorted({r["n"] for r in sub})
-            med = [float(np.median([r["excess_risk"] for r in sub
-                                    if r["n"] == n])) for n in ns]
-            series.append((tag, ns, med))
-        path = os.path.join(out_dir, "excess_risk_vs_n.svg")
-        with open(path, "w") as fh:
-            fh.write(_curves_svg(series, "median excess risk vs n", "excess risk"))
-        written.append(path)
-    if cloud is not None:
-        path = os.path.join(out_dir, "samples_by_label.svg")
-        with open(path, "w") as fh:
-            fh.write(_scatter_svg(cloud.points, cloud.labels, "samples by label"))
-        written.append(path)
-        if u_binary is not None:
-            path = os.path.join(out_dir, "solution_level_set.svg")
-            with open(path, "w") as fh:
-                fh.write(_scatter_svg(cloud.points, u_binary,
-                                      "solution level set"))
-            written.append(path)
-    if not written:
-        raise ValidationError("nothing to plot: pass a report and/or a dataset")
-    return written
-
-
 # ------------------------------------------------------------------ commands
 
 def _cmd_gen(args):
@@ -321,8 +323,7 @@ def _cmd_gen(args):
     path = _out_path(args.out, args.out_dir)
     save_cloud(cloud, path)
     _emit_json({"path": path, "n": cloud.n, "d": cloud.d,
-                "model": model.name, "seed": args.seed},
-               argparse.Namespace(out=None, out_dir=args.out_dir))
+                "model": model.name, "seed": args.seed}, args)
     return 0
 
 
@@ -352,7 +353,7 @@ def _cmd_solve(args):
         "converged": bool(res.converged), "certificate": bool(cert),
         "margin": margin, "components": num_components(g),
         "schema_version": SCHEMA_VERSION,
-    }, args)
+    }, args, args.out)
     return 0
 
 
@@ -360,18 +361,14 @@ def _cmd_certify(args):
     cloud, g = _solve_common(args)
     cert, margin = certify_overfit(g, args.lam)
     _emit_json({"n": cloud.n, "eps": args.eps, "lambda": args.lam,
-                "certificate": bool(cert), "margin": margin}, args)
+                "certificate": bool(cert), "margin": margin}, args, args.out)
     return 0
 
 
 def _cmd_sweep(args):
     cfg = SweepConfig(_load_json(args.config))
     rows, path = run_sweep(cfg, out_dir=args.out_dir, threads=args.threads)
-    if cfg.plots_dir:
-        os.makedirs(_out_path(cfg.plots_dir, args.out_dir), exist_ok=True)
-        emit_plots(rows=rows, out_dir=_out_path(cfg.plots_dir, args.out_dir))
-    _emit_json({"report": path, "rows": len(rows)},
-               argparse.Namespace(out=None, out_dir=args.out_dir))
+    _emit_json({"report": path, "rows": len(rows)}, args)
     return 0
 
 
@@ -381,73 +378,81 @@ def _cmd_tl1(args):
     r = tl1_exact(a.points, a.labels.astype(float),
                   b.points, b.labels.astype(float))
     _emit_json({"n": a.n, "cost": r.cost,
-                "sup_displacement": r.sup_displacement}, args)
+                "sup_displacement": r.sup_displacement}, args, args.out)
     return 0
 
 
 def _cmd_sigma(args):
     profile = parse_kernel(args.kernel)
     _emit_json({"kernel": args.kernel, "d": args.d,
-                "sigma": surface_tension(profile, args.d)}, args)
+                "sigma": surface_tension(profile, args.d)}, args, args.out)
     return 0
 
 
 def _cmd_gamma_check(args):
     model = _resolve_model(args.model)
     if args.interface:
-        interface = np.asarray(_load_json(args.interface), dtype=float)
+        interface = _field({"pieces": _load_json(args.interface)}, "pieces",
+                           lambda v: np.asarray(v, dtype=float), args.interface)
     else:
         if model.d != 2:
             raise ValidationError("--vertical needs a 2-d model; pass --interface")
         lo, hi = model.lo[1], model.hi[1]
         interface = np.array([[[args.vertical, lo], [args.vertical, hi]]])
     profile = parse_kernel(args.kernel)
-    n_list = [int(s) for s in args.n_list.split(",")]
-    rows = gamma_check(model, interface, profile, n_list,
+    rows = gamma_check(model, interface, profile, args.n_list,
                        lambda n: args.eps_c * n ** (-args.eps_a), args.seed)
-    _emit_json({"target": rows[0]["target"] if rows else 0.0, "rows": rows}, args)
+    _emit_json({"target": rows[0]["target"], "rows": rows}, args, args.out)
     return 0
 
 
 def _cmd_plot(args):
-    rows = None
+    docs = []   # (file name, SVG text)
     if args.report:
         with open(args.report, newline="") as fh:
             raw = list(csv.DictReader(fh))
         if not raw:
             raise ValidationError("report %s is empty" % args.report)
-        rows = [{"regime": r["regime"], "n": int(r["n"]),
-                 "excess_risk": float(r["excess_risk"])} for r in raw]
-    cloud = load_cloud(args.data) if args.data else None
-    ub = None
-    if args.solution:
-        ub = np.asarray(_load_json(args.solution)["u_binary"], dtype=float)
-    os.makedirs(args.out_dir, exist_ok=True)
-    written = emit_plots(rows=rows, out_dir=args.out_dir, regime=args.regime,
-                         cloud=cloud, u_binary=ub)
-    _emit_json({"written": written},
-               argparse.Namespace(out=None, out_dir=args.out_dir))
+        groups = {}   # regime -> n -> excess risks
+        for r in raw:
+            tag, n, e = (_field(r, key, kind, args.report) for key, kind in
+                         (("regime", str), ("n", int), ("excess_risk", float)))
+            groups.setdefault(tag, {}).setdefault(n, []).append(e)
+        if args.regime is not None:
+            if args.regime not in groups:
+                raise ValidationError("no rows for regime %r; available: %s"
+                                      % (args.regime, ", ".join(sorted(groups))))
+            groups = {args.regime: groups[args.regime]}
+        series = [(tag, sorted(g), [float(np.median(g[n])) for n in sorted(g)])
+                  for tag, g in sorted(groups.items())]
+        docs.append(("excess_risk_vs_n.svg", _curves_svg(
+            series, "median excess risk vs n", "excess risk")))
+    if args.data:
+        cloud = load_cloud(args.data)
+        docs.append(("samples_by_label.svg", _scatter_svg(
+            cloud.points, cloud.labels, "samples by label")))
+        if args.solution:
+            docs.append(("solution_level_set.svg", _scatter_svg(
+                cloud.points, _load_solution(args.solution, cloud),
+                "solution level set")))
+    if not docs:
+        raise ValidationError("nothing to plot: pass a report and/or a dataset")
+    written = []
+    for name, text in docs:
+        written.append(_out_path(name, args.out_dir))
+        with open(written[-1], "w") as fh:
+            fh.write(text)
+    _emit_json({"written": written}, args)
     return 0
 
 
 def _cmd_risk(args):
     cloud = load_cloud(args.data)
     model = _resolve_model(args.model)
-    sol = _load_json(args.solution)
-    ub = np.asarray(sol["u_binary"], dtype=float)
-    if ub.shape != (cloud.n,):
-        raise ValidationError("solution length does not match the dataset")
-    vc = voronoi_extend(cloud, ub)
-    tr, ci = test_risk(vc, model, args.test_m, args.seed)
-    rb = bayes_risk(model)
-    _emit_json({
-        "n": cloud.n, "test_m": args.test_m,
-        "empirical_risk": empirical_risk(ub, cloud.labels),
-        "test_risk": tr, "ci_halfwidth": ci, "bayes_risk": rb,
-        "excess_risk": tr - rb,
-        "bayes_agreement": bayes_agreement(vc, model, args.test_m,
-                                           (args.seed, 1)),
-    }, args)
+    ub = _load_solution(args.solution, cloud)
+    _emit_json({"n": cloud.n, "test_m": args.test_m, "bayes_risk": bayes_risk(model),
+                **_evaluate(cloud, ub, model, args.test_m, args.seed)},
+               args, args.out)
     return 0
 
 
@@ -457,31 +462,33 @@ def _build_parser():
         description="Graph-TV regularized binary classification on point "
                     "clouds: exact and first-order solvers, TL1 transport "
                     "distances, and regime-sweep experiment drivers.")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--out-dir", default=".", help="directory for outputs")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel workers for sweeps")
-    # accept the global flags after the subcommand too; SUPPRESS keeps the
+    # global flags, accepted after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values already parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out-dir", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    for flag, kw in (("--seed", dict(type=_int_from(0), default=0, help="base RNG seed")),
+                     ("--out-dir", dict(default=".", help="directory for outputs")),
+                     ("--threads", dict(type=_int_from(1), default=1,
+                                        help="parallel workers for sweeps"))):
+        p.add_argument(flag, **kw)
+        common.add_argument(flag, **dict(kw, default=argparse.SUPPRESS))
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, func, out=False, **kw):
+        sp = sub.add_parser(name, parents=[common], **kw)
+        sp.set_defaults(func=func)
+        if out:
+            sp.add_argument("--out", default=None, help="also write the JSON here")
+        return sp
 
-    sp = add_parser("gen", help="sample a labeled dataset from a model")
+    sp = add_parser("gen", _cmd_gen, help="sample a labeled dataset from a model")
     sp.add_argument("--model", required=True,
                     help="model JSON path or builtin:<name>")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_from(1), required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
-    sp.set_defaults(func=_cmd_gen)
 
     for name, fn, extra in (("solve", _cmd_solve, True),
                             ("certify", _cmd_certify, False)):
-        sp = add_parser(name, help="%s a dataset instance" % name)
+        sp = add_parser(name, fn, out=True, help="%s a dataset instance" % name)
         sp.add_argument("--data", required=True, help="dataset CSV")
         sp.add_argument("--eps", type=float, required=True)
         sp.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -489,56 +496,45 @@ def _build_parser():
         if extra:
             sp.add_argument("--method", choices=("pd", "mincut"),
                             default="mincut")
-            sp.add_argument("--max-iters", type=int, default=20000)
+            sp.add_argument("--max-iters", type=_int_from(0), default=20000)
             sp.add_argument("--tol", type=float, default=1e-7)
-        sp.add_argument("--out", default=None, help="also write JSON here")
-        sp.set_defaults(func=fn)
 
-    sp = add_parser("sweep", help="run a regime sweep from a JSON config")
+    sp = add_parser("sweep", _cmd_sweep, help="run a regime sweep from a JSON config")
     sp.add_argument("--config", required=True)
-    sp.set_defaults(func=_cmd_sweep)
 
-    sp = add_parser("tl1", help="exact TL1 distance between two datasets")
+    sp = add_parser("tl1", _cmd_tl1, out=True, help="exact TL1 distance between two datasets")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_tl1)
 
-    sp = add_parser("sigma", help="surface tension of a kernel")
+    sp = add_parser("sigma", _cmd_sigma, out=True, help="surface tension of a kernel")
     sp.add_argument("--kernel", default="indicator")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_sigma)
+    sp.add_argument("--d", type=_int_from(1), default=2)
 
-    sp = add_parser("gamma-check",
-                        help="graph TV vs continuum target across n")
+    sp = add_parser("gamma-check", _cmd_gamma_check, out=True,
+                    help="graph TV vs continuum target across n")
     sp.add_argument("--model", default="builtin:halfplane")
     sp.add_argument("--kernel", default="indicator")
-    sp.add_argument("--n-list", default="1000,4000,16000")
+    sp.add_argument("--n-list", default="1000,4000,16000",
+                    type=lambda text: _ints_from(1)(text.split(",")))
     sp.add_argument("--eps-c", type=float, default=1.0)
     sp.add_argument("--eps-a", type=float, default=0.25)
     sp.add_argument("--vertical", type=float, default=0.5,
                     help="x of a full-height interface segment (2-d models)")
     sp.add_argument("--interface", default=None,
                     help="JSON file with explicit interface pieces")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_gamma_check)
 
-    sp = add_parser("plot", help="emit SVG plots from reports/datasets")
+    sp = add_parser("plot", _cmd_plot, help="emit SVG plots from reports/datasets")
     sp.add_argument("--report", default=None, help="sweep report CSV")
     sp.add_argument("--regime", default=None, help="filter curves to one regime")
     sp.add_argument("--data", default=None, help="dataset CSV to scatter")
     sp.add_argument("--solution", default=None,
                     help="solve JSON; adds the level-set scatter")
-    sp.set_defaults(func=_cmd_plot)
 
-    sp = add_parser("risk", help="evaluate a stored solution's risks")
+    sp = add_parser("risk", _cmd_risk, out=True, help="evaluate a stored solution's risks")
     sp.add_argument("--data", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--solution", required=True)
-    sp.add_argument("--test-m", type=int, default=2000)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_risk)
+    sp.add_argument("--test-m", type=_int_from(100), default=2000)
     return p
 
 

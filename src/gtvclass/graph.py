@@ -57,7 +57,7 @@ def build(cloud, eps, profile):
     gi, gj, w = gi[order], gj[order], w[order]
     deg = (np.bincount(gi, weights=w, minlength=n)
            + np.bincount(gj, weights=w, minlength=n)).astype(float)
-    deg += profile.amplitude / eps ** d   # diagonal term eta_eps(0)
+    deg += 1.0 / eps ** d   # diagonal term eta_eps(0), eta(0) = 1
     return NeighborGraph(n, eps, gi, gj, w, deg)
 
 

@@ -260,7 +260,7 @@ def model_from_dict(obj):
         mu = [(c["lo"], c["hi"], c["value"]) for c in obj["mu_cells"]]
         return GroundTruthModel(dom["lo"], dom["hi"], dens, mu,
                                 name=obj.get("name", "model"))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError("malformed model description: %s" % e) from None
 
 

@@ -3,9 +3,11 @@
 A profile is a non-increasing radial function eta(r) >= 0 with
 integral_0^inf eta(r) r^d dr finite. Supported shapes:
 
-    indicator(scale):    eta(r) = amplitude for r <= scale, else 0
-    exponential(scale):  eta(r) = amplitude * exp(-r/scale)
-    gaussian(scale):     eta(r) = amplitude * exp(-r^2/(2 scale^2))
+    indicator(scale):    eta(r) = 1 for r <= scale, else 0
+    exponential(scale):  eta(r) = exp(-r/scale)
+    gaussian(scale):     eta(r) = exp(-r^2/(2 scale^2))
+
+eta(0) = 1 for every shape; a constant factor on eta would only rescale lambda.
 
 Profiles with unbounded support are truncated at a finite radius so that
 neighbor queries stay finite: 40 scale lengths for the exponential and
@@ -30,14 +32,13 @@ GAUSS_TRUNC = 8.0
 class KernelProfile:
     """Radial kernel profile with a finite support radius."""
 
-    def __init__(self, shape, scale=1.0, amplitude=1.0):
+    def __init__(self, shape, scale=1.0):
         if shape not in SHAPES:
             raise ValidationError("unknown kernel shape %r" % (shape,))
-        if not (scale > 0) or not (amplitude > 0):
-            raise ValidationError("scale and amplitude must be positive")
+        if not (scale > 0):
+            raise ValidationError("scale must be positive")
         self.shape = shape
         self.scale = float(scale)
-        self.amplitude = float(amplitude)
 
     @property
     def support_radius(self):
@@ -47,23 +48,19 @@ class KernelProfile:
             return EXP_TRUNC * self.scale
         return GAUSS_TRUNC * self.scale
 
-    def __repr__(self):
-        return "KernelProfile(%r, scale=%g, amplitude=%g)" % (
-            self.shape, self.scale, self.amplitude)
-
 
 def eval(profile, r):
     """eta(r) for scalar or array r >= 0 (truncated profiles return 0 past support)."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValidationError("kernel argument must be nonnegative")
-    a, s = profile.amplitude, profile.scale
+    s = profile.scale
     if profile.shape == "indicator":
-        v = np.where(r <= s, a, 0.0)
+        v = np.where(r <= s, 1.0, 0.0)
     elif profile.shape == "exponential":
-        v = a * np.exp(-r / s)
+        v = np.exp(-r / s)
     else:
-        v = a * np.exp(-r * r / (2.0 * s * s))
+        v = np.exp(-r * r / (2.0 * s * s))
     v = np.where(r <= profile.support_radius, v, 0.0)
     return float(v) if v.ndim == 0 else v
 
@@ -79,14 +76,14 @@ def surface_tension(profile, d):
 
     In radial-angular form this is A_d * integral_0^inf eta(r) r^d dr with
     A_d the angular factor above. The indicator has the closed form
-    amplitude * A_d * scale^(d+1) / (d+1); other shapes use adaptive
+    A_d * scale^(d+1) / (d+1); other shapes use adaptive
     quadrature on [0, support_radius] with 1e-8 absolute tolerance.
     """
     if d < 1 or int(d) != d:
         raise ValidationError("dimension must be a positive integer")
     A = _angular_factor(d)
     if profile.shape == "indicator":
-        return profile.amplitude * A * profile.scale ** (d + 1) / (d + 1)
+        return A * profile.scale ** (d + 1) / (d + 1)
     val, _ = quad(lambda r: eval(profile, r) * r ** d, 0.0,
                   profile.support_radius, epsabs=1e-8, limit=200)
     return A * val

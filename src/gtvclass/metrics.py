@@ -198,14 +198,14 @@ def tl1_proxy_1nn(cloud, u, model, u_ref, m, seed):
 
 
 def _cell_grid(lo, hi, k):
-    # centers of the smallest r^d lattice holding k points, lex order, first k
+    # k centers of the smallest r^d lattice holding k points, spread evenly in lex order
     d = lo.size
     r = int(np.ceil(k ** (1.0 / d)))
     while r > 1 and (r - 1) ** d >= k:
         r -= 1
     axes = [lo[j] + (hi[j] - lo[j]) * (np.arange(r) + 0.5) / r for j in range(d)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return mesh[:k]
+    return mesh[(2 * np.arange(k) + 1) * r ** d // (2 * k)]
 
 
 def quadrature_points(model, n):
@@ -316,9 +316,9 @@ def continuum_tv_indicator(model, interface):
     if model.d == 1:
         rho = np.asarray(model.rho_at(arr.reshape(-1, 1)), dtype=float)
         return float(np.sum(rho ** 2))
-    verts = arr.reshape(arr.shape[0], -1, model.d)
-    if verts.shape[1] != model.d:
-        raise ValidationError("pieces need %d vertices each in d = %d"
+    verts = arr
+    if verts.shape[1:] != (model.d, model.d):
+        raise ValidationError("interface pieces must be shaped (k, %d, %d)"
                               % (model.d, model.d))
     ci = model._cell_index(model._rho_table, verts[:, 0])
     for v in range(1, model.d):

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,115 @@ def test_sweep_config_rule_keys():
     with pytest.raises(ValidationError, match="eps_rule has unknown keys"):
         SweepConfig(dict(base, eps_rule={"c": 1.0, "a": 0.25, "b": 0.5},
                          lambda_rule={"regime": "fixed", "c": 1}))
+
+
+def test_risk_reproduces_sweep_row(tmp_path, capsys):
+    # risk runs the sweep's evaluation on the same streams, so a cell's cloud
+    # (gen) and cut (solve) give back the row's evaluation columns exactly
+    cfg = write_sweep_config(
+        tmp_path, model="builtin:halfplane", n_list=[300], seeds=[3],
+        eps_rule={"c": 0.7, "a": 1 / 3},
+        lambda_rule={"regime": "consistent", "c": 0.15, "b": 0.25}, test_m=1000)
+    assert run(tmp_path, "sweep", "--config", cfg) == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert run(tmp_path, "gen", "--model", "builtin:halfplane", "--n", row["n"],
+               "--seed", row["seed"], "--out", "cell.csv") == 0
+    assert run(tmp_path, "solve", "--data", str(tmp_path / "cell.csv"),
+               "--eps", row["eps"], "--lambda", row["lambda"], "--out", "cell.json") == 0
+    ub = json.loads((tmp_path / "cell.json").read_text())["u_binary"]
+    assert 0 < sum(ub) < len(ub)
+    capsys.readouterr()
+    assert run(tmp_path, "risk", "--data", str(tmp_path / "cell.csv"),
+               "--model", "builtin:halfplane", "--solution", str(tmp_path / "cell.json"),
+               "--test-m", "1000", "--seed", row["seed"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    for col in ("empirical_risk", "label_agreement", "test_risk", "ci_halfwidth",
+                "bayes_agreement", "excess_risk", "tl1_proxy"):
+        assert rec[col] == float(row[col]), col
+
+
+def write_bad_inputs(tmp_path):
+    run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "50",
+        "--out", "d.csv", "--seed", "3")
+    run(tmp_path, "solve", "--data", str(tmp_path / "d.csv"), "--eps", "0.3",
+        "--lambda", "0.01", "--out", "s.json")
+    sol = json.loads((tmp_path / "s.json").read_text())
+    files = {
+        "short.json": dict(sol, u_binary=sol["u_binary"][:20]),
+        "no_u.json": {k: v for k, v in sol.items() if k != "u_binary"},
+        "model.json": {"domain": {"lo": [0, 0], "hi": ["a", 1]},
+                       "density_cells": [], "mu_cells": []},
+        "interface.json": [[0.5, 0.0, 0.5]],
+        "list.json": [write_sweep_config(tmp_path)],
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    (tmp_path / "no_excess.csv").write_text("regime,n,eps\noverfit,100,0.1\n")
+    (tmp_path / "bad_n.csv").write_text("regime,n,excess_risk\noverfit,abc,0.1\n")
+
+
+BAD_INPUTS = {
+    "n-list-not-int": ["gamma-check", "--n-list", "300,abc"],
+    "gen-negative-seed": ["gen", "--model", "builtin:quadrant", "--n", "10",
+                          "--out", "x.csv", "--seed", "-1"],
+    "risk-negative-seed": ["risk", "--data", "{d}/d.csv", "--model", "builtin:quadrant",
+                           "--solution", "{d}/s.json", "--seed", "-1"],
+    "gamma-negative-seed": ["--seed", "-1", "gamma-check", "--n-list", "100"],
+    "threads-zero": ["--threads", "0", "sweep", "--config", "{d}/sweep.json"],
+    "threads-negative": ["sweep", "--threads", "-1", "--config", "{d}/sweep.json"],
+    "risk-no-u-binary": ["risk", "--data", "{d}/d.csv", "--model", "builtin:quadrant",
+                         "--solution", "{d}/no_u.json"],
+    "plot-no-u-binary": ["plot", "--data", "{d}/d.csv", "--solution", "{d}/no_u.json"],
+    "plot-short-solution": ["plot", "--data", "{d}/d.csv", "--solution", "{d}/short.json"],
+    "report-no-excess": ["plot", "--report", "{d}/no_excess.csv"],
+    "report-bad-n": ["plot", "--report", "{d}/bad_n.csv"],
+    "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
+    "interface-bad-shape": ["gamma-check", "--interface", "{d}/interface.json",
+                            "--n-list", "100"],
+    "sweep-config-list": ["sweep", "--config", "{d}/list.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    write_bad_inputs(tmp_path)
+    argv = [a.format(d=tmp_path) for a in BAD_INPUTS[case]]
+    try:
+        code = run(tmp_path, *argv)
+    except SystemExit as exc:   # argparse rejects the flag itself
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"tset_m": 400}, "tset_m"),
+    ({"plots_dir": "plots"}, "plots_dir"),
+    ({"n_list": "12"}, "n_list"),
+    ({"seeds": "12"}, "seeds"),
+    ({"seeds": [1, -2]}, "seeds"),
+    ({"test_m": 50}, "test_m"),
+    ({"test_m": 150.5}, "test_m"),
+    ({"n_list": [500.9]}, "n_list"),
+])
+def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
+                                            overrides, key):
+    def no_row(*args):
+        raise AssertionError("a row ran before the config was rejected")
+    monkeypatch.setattr("gtvclass.cli._run_one", no_row)
+    assert run(tmp_path, "sweep", "--config",
+               write_sweep_config(tmp_path, **overrides)) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_readme_sweep_config_is_every_accepted_key():
+    # the README's sweep config documents every top-level key the sweep takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Sweep config \(JSON\):\s*```json\n(.*?)```", readme, re.S)
+    raw = json.loads(block.group(1))
+    SweepConfig(raw)
+    assert set(raw) == set(SweepConfig.KEYS)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -25,7 +25,7 @@ def direct_build(points, eps, profile):
     for i, j, x in zip(ei, ej, w):
         deg[i] += x
         deg[j] += x
-    deg += profile.amplitude / eps ** d
+    deg += 1.0 / eps ** d   # eta(0) = 1 for every profile
     return np.array(ei), np.array(ej), np.array(w), deg
 
 

@@ -19,9 +19,9 @@ def test_eval_indicator_inside_outside():
     assert kernels.eval(p, 1.5) == 0.0
 
 
-def test_eval_exponential_at_zero_is_amplitude():
-    p = KernelProfile("exponential", scale=0.3, amplitude=2.5)
-    assert kernels.eval(p, 0.0) == 2.5
+def test_eval_exponential_at_zero_is_one():
+    p = KernelProfile("exponential", scale=0.3)
+    assert kernels.eval(p, 0.0) == 1.0
 
 
 def test_eval_negative_r_rejected():
@@ -36,7 +36,7 @@ def test_bad_profile_rejected():
     with pytest.raises(ValidationError):
         KernelProfile("indicator", scale=0.0)
     with pytest.raises(ValidationError):
-        KernelProfile("indicator", amplitude=-1.0)
+        KernelProfile("indicator", scale=float("nan"))
 
 
 def test_surface_tension_indicator_closed_forms():
@@ -47,10 +47,10 @@ def test_surface_tension_indicator_closed_forms():
 
 
 def test_surface_tension_quadrature_matches_indicator_closed_form():
-    for amp, scale in [(1.0, 1.0), (2.0, 0.5), (0.7, 1.9)]:
-        p = KernelProfile("indicator", scale=scale, amplitude=amp)
+    for scale in (1.0, 0.5, 1.9):
+        p = KernelProfile("indicator", scale=scale)
         for d in (1, 2, 3):
-            closed = amp * angular(d) * scale ** (d + 1) / (d + 1)
+            closed = angular(d) * scale ** (d + 1) / (d + 1)
             val, _ = quad(lambda r: kernels.eval(p, r) * r ** d, 0.0,
                           p.support_radius, epsabs=1e-10, limit=200)
             assert angular(d) * val == pytest.approx(closed, rel=1e-6)
@@ -58,12 +58,12 @@ def test_surface_tension_quadrature_matches_indicator_closed_form():
 
 
 def test_surface_tension_exponential_analytic():
-    # untruncated integral: amp * A_d * s^(d+1) * Gamma(d+1); the tail past
+    # untruncated integral: A_d * s^(d+1) * Gamma(d+1); the tail past
     # 40 scale lengths is ~1e-16 relative
     for s in (0.25, 1.0):
-        p = KernelProfile("exponential", scale=s, amplitude=1.3)
+        p = KernelProfile("exponential", scale=s)
         for d in (1, 2, 3):
-            exact = 1.3 * angular(d) * s ** (d + 1) * gamma_fn(d + 1)
+            exact = angular(d) * s ** (d + 1) * gamma_fn(d + 1)
             assert kernels.surface_tension(p, d) == pytest.approx(exact, rel=1e-6)
 
 
@@ -76,21 +76,14 @@ def test_surface_tension_gaussian_analytic():
             assert kernels.surface_tension(p, d) == pytest.approx(exact, rel=1e-6)
 
 
-def test_surface_tension_amplitude_linearity():
-    base = KernelProfile("gaussian", scale=0.8)
-    scaled = KernelProfile("gaussian", scale=0.8, amplitude=3.0)
-    for d in (1, 2):
-        assert kernels.surface_tension(scaled, d) == pytest.approx(
-            3.0 * kernels.surface_tension(base, d), rel=1e-12)
-
-
 def test_monotone_nonincreasing_on_grid():
     rng = np.random.Generator(np.random.Philox(5))
     r = np.linspace(0, 5, 400)
     for _ in range(20):
         shape = SHAPES_CYCLE[rng.integers(3)]
-        p = KernelProfile(shape, scale=float(rng.uniform(0.1, 2.0)),
-                          amplitude=float(rng.uniform(0.1, 3.0)))
+        p = KernelProfile(shape, scale=float(rng.uniform(0.1, 2.0)))
+        # discarded draw: it keeps the stream, so the instances stay as recorded
+        rng.uniform(0.1, 3.0)
         v = kernels.eval(p, r)
         assert np.all(np.diff(v) <= 1e-15)
 
