@@ -5,6 +5,8 @@ Global flags, accepted before or after the subcommand: --out-dir roots the
 relative output paths of every subcommand; --seed is read only by gen, risk
 and gamma-check (sweep takes its seeds from the config); --threads (>= 1)
 is read only by sweep. risk scores a solution with the sweep's evaluation.
+--kernel is indicator|exp|exponential|gauss|gaussian with no options: the
+profile eta(r/s) at eps and lambda is --eps s*eps --lambda s^(d+1)*lambda.
 Everything is deterministic given the seeds; sweep reports are CSV with a
 versioned schema (the runtime_ms column is the one wall-clock exception),
 all other outputs are JSON records, plots are self-contained SVG.
@@ -27,7 +29,7 @@ from . import ValidationError
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_classify, bayes_risk,
                           load_cloud, load_model, sample, save_cloud)
-from .kernels import parse_kernel, surface_tension
+from .kernels import KernelProfile, surface_tension
 from .metrics import (bayes_agreement, continuum_tv_indicator, empirical_risk,
                       gamma_check, test_risk, tl1_exact, tl1_proxy_1nn,
                       voronoi_extend)
@@ -158,16 +160,12 @@ class SweepConfig:
     def lambda_of(self, n, eps):
         c, b = self.lam_c, self.lam_b
         if self.regime == "overfit":
-            lam = c * eps * n ** (-b)
-        elif self.regime == "consistent":
-            lam = c * n ** (-b)
-        elif self.regime == "fixed":
-            lam = c
-        else:
-            lam = c * n ** b
-        if not (lam > 0):
-            raise ValidationError("lambda rule produced a nonpositive value")
-        return lam
+            return c * eps * n ** (-b)
+        if self.regime == "consistent":
+            return c * n ** (-b)
+        if self.regime == "fixed":
+            return c
+        return c * n ** b
 
 
 def _evaluate(cloud, u_binary, model, m, seed):
@@ -214,7 +212,7 @@ def run_sweep(cfg, out_dir=".", threads=1):
     between identical runs.
     """
     model = _resolve_model(cfg.model)
-    profile = parse_kernel(cfg.kernel)
+    profile = KernelProfile(cfg.kernel)
     jobs = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         rows = sorted(ex.map(lambda job: _run_one(model, profile, cfg, *job), jobs),
@@ -329,7 +327,7 @@ def _cmd_gen(args):
 
 def _solve_common(args):
     cloud = load_cloud(args.data)
-    profile = parse_kernel(args.kernel)
+    profile = KernelProfile(args.kernel)
     g = build(cloud, args.eps, profile)
     return cloud, g
 
@@ -383,7 +381,7 @@ def _cmd_tl1(args):
 
 
 def _cmd_sigma(args):
-    profile = parse_kernel(args.kernel)
+    profile = KernelProfile(args.kernel)
     _emit_json({"kernel": args.kernel, "d": args.d,
                 "sigma": surface_tension(profile, args.d)}, args, args.out)
     return 0
@@ -399,7 +397,7 @@ def _cmd_gamma_check(args):
             raise ValidationError("--vertical needs a 2-d model; pass --interface")
         lo, hi = model.lo[1], model.hi[1]
         interface = np.array([[[args.vertical, lo], [args.vertical, hi]]])
-    profile = parse_kernel(args.kernel)
+    profile = KernelProfile(args.kernel)
     rows = gamma_check(model, interface, profile, args.n_list,
                        lambda n: args.eps_c * n ** (-args.eps_a), args.seed)
     _emit_json({"target": rows[0]["target"], "rows": rows}, args, args.out)
@@ -407,6 +405,8 @@ def _cmd_gamma_check(args):
 
 
 def _cmd_plot(args):
+    if args.solution and not args.data:
+        raise ValidationError("--solution needs the --data it labels")
     docs = []   # (file name, SVG text)
     if args.report:
         with open(args.report, newline="") as fh:

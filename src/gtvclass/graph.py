@@ -41,8 +41,8 @@ def build(cloud, eps, profile):
     points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, dtype=float)
     if points.size == 0:
         raise ValidationError("cannot build a graph over an empty cloud")
-    if not (eps > 0):
-        raise ValidationError("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise ValidationError("eps must be positive and finite")
     n, d = points.shape
     # the k-d tree rounds distances its own way; the margin only widens the
     # candidate set, and w > 0 below decides which pairs become edges

@@ -1,52 +1,49 @@
 """Radial kernel profiles eta and their surface tension.
 
-A profile is a non-increasing radial function eta(r) >= 0 with
-integral_0^inf eta(r) r^d dr finite. Supported shapes:
+A profile is a non-increasing radial function eta(r) >= 0 with eta(0) = 1
+and integral_0^inf eta(r) r^d dr finite. Shapes, with their CLI spellings:
 
-    indicator(scale):    eta(r) = 1 for r <= scale, else 0
-    exponential(scale):  eta(r) = exp(-r/scale)
-    gaussian(scale):     eta(r) = exp(-r^2/(2 scale^2))
+    indicator (indicator):          eta(r) = 1 for r <= 1, else 0
+    exponential (exp, exponential): eta(r) = exp(-r)
+    gaussian (gauss, gaussian):     eta(r) = exp(-r^2/2)
 
-eta(0) = 1 for every shape; a constant factor on eta would only rescale lambda.
+The graph weighs pairs by eta_eps(x) = eps^-d eta(|x|/eps), so eps is the
+only length scale: eta(r/s) at (eps, lambda) has the energy and certificate
+of eta at (s eps, s^(d+1) lambda) and s^(d+1) times its surface tension, and
+a constant factor on eta would only rescale lambda.
 
-Profiles with unbounded support are truncated at a finite radius so that
-neighbor queries stay finite: 40 scale lengths for the exponential and
-8 standard deviations for the gaussian. The truncated tail is below double
-precision relative to eta(0) for the exponential and ~1e-14 for the
-gaussian; the truncation radius is recorded on the profile and reported
-by the CLI.
+Profiles with unbounded support are truncated so that neighbor queries stay
+finite, at 40 decay lengths for the exponential and 8 standard deviations
+for the gaussian; the tail cut off is below double precision relative to
+eta(0) for the exponential and ~1e-14 for the gaussian.
 """
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as _gamma
+from scipy.special import gamma as _gamma, gammainc
 
 from . import ValidationError
 
-SHAPES = ("indicator", "exponential", "gaussian")
+SUPPORT_RADIUS = {"indicator": 1.0, "exponential": 40.0, "gaussian": 8.0}
+SHAPES = tuple(SUPPORT_RADIUS)
 
-EXP_TRUNC = 40.0
-GAUSS_TRUNC = 8.0
+_SPELLINGS = {"indicator": "indicator", "exp": "exponential",
+              "exponential": "exponential", "gauss": "gaussian",
+              "gaussian": "gaussian"}
 
 
 class KernelProfile:
-    """Radial kernel profile with a finite support radius."""
+    """Radial kernel profile named by a shape or its CLI spelling."""
 
-    def __init__(self, shape, scale=1.0):
-        if shape not in SHAPES:
-            raise ValidationError("unknown kernel shape %r" % (shape,))
-        if not (scale > 0):
-            raise ValidationError("scale must be positive")
-        self.shape = shape
-        self.scale = float(scale)
+    def __init__(self, shape):
+        if shape not in _SPELLINGS:
+            raise ValidationError(
+                "unknown kernel %r (use indicator|exp|gauss; for the profile "
+                "eta(r/s), scale eps by s and lambda by s^(d+1) instead)" % (shape,))
+        self.shape = _SPELLINGS[shape]
 
     @property
     def support_radius(self):
-        if self.shape == "indicator":
-            return self.scale
-        if self.shape == "exponential":
-            return EXP_TRUNC * self.scale
-        return GAUSS_TRUNC * self.scale
+        return SUPPORT_RADIUS[self.shape]
 
 
 def eval(profile, r):
@@ -54,13 +51,12 @@ def eval(profile, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValidationError("kernel argument must be nonnegative")
-    s = profile.scale
     if profile.shape == "indicator":
-        v = np.where(r <= s, 1.0, 0.0)
+        v = np.ones_like(r)
     elif profile.shape == "exponential":
-        v = np.exp(-r / s)
+        v = np.exp(-r)
     else:
-        v = np.exp(-r * r / (2.0 * s * s))
+        v = np.exp(-r * r / 2.0)
     v = np.where(r <= profile.support_radius, v, 0.0)
     return float(v) if v.ndim == 0 else v
 
@@ -74,38 +70,20 @@ def _angular_factor(d):
 def surface_tension(profile, d):
     """sigma_eta = integral over R^d of eta(|h|) |h_1| dh.
 
-    In radial-angular form this is A_d * integral_0^inf eta(r) r^d dr with
-    A_d the angular factor above. The indicator has the closed form
-    A_d * scale^(d+1) / (d+1); other shapes use adaptive
-    quadrature on [0, support_radius] with 1e-8 absolute tolerance.
+    In radial-angular form this is A_d * integral_0^R eta(r) r^d dr with
+    A_d the angular factor above and R the support radius. The radial
+    integral of each truncated shape has a closed form, with P the
+    regularized lower incomplete gamma function: 1/(d+1) for the indicator,
+    Gamma(d+1) P(d+1, R) for the exponential and
+    2^((d-1)/2) Gamma((d+1)/2) P((d+1)/2, R^2/2) for the gaussian.
     """
     if d < 1 or int(d) != d:
         raise ValidationError("dimension must be a positive integer")
     A = _angular_factor(d)
+    R = profile.support_radius
     if profile.shape == "indicator":
-        return A * profile.scale ** (d + 1) / (d + 1)
-    val, _ = quad(lambda r: eval(profile, r) * r ** d, 0.0,
-                  profile.support_radius, epsabs=1e-8, limit=200)
-    return A * val
-
-
-_SHAPE_ALIASES = {"indicator": "indicator", "exp": "exponential",
-                  "exponential": "exponential", "gauss": "gaussian",
-                  "gaussian": "gaussian"}
-
-
-def parse_kernel(text):
-    """Parse a CLI kernel flag: indicator|exp|gauss with optional :scale=<float>."""
-    name, _, rest = text.partition(":")
-    if name not in _SHAPE_ALIASES:
-        raise ValidationError("unknown kernel %r (use indicator|exp|gauss)" % (text,))
-    scale = 1.0
-    if rest:
-        key, _, val = rest.partition("=")
-        if key != "scale":
-            raise ValidationError("unknown kernel option %r" % (rest,))
-        try:
-            scale = float(val)
-        except ValueError:
-            raise ValidationError("bad kernel scale %r" % (val,)) from None
-    return KernelProfile(_SHAPE_ALIASES[name], scale=scale)
+        return A / (d + 1)
+    if profile.shape == "exponential":
+        return A * _gamma(d + 1) * gammainc(d + 1, R)
+    k = (d + 1) / 2.0
+    return A * 2.0 ** (k - 1.0) * _gamma(k) * gammainc(k, R * R / 2.0)

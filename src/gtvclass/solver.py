@@ -19,13 +19,18 @@ from . import ValidationError
 from .graph import divergence, gtv
 
 
+def _check_lambda(lam):
+    # any other lambda gives false energies and certificates, not an error
+    if not (0 < lam < np.inf):
+        raise ValidationError("lambda must be positive and finite")
+    return float(lam)
+
+
 class SolverConfig:
     def __init__(self, lambda_, max_iters=20000, tol=1e-7):
-        if not (lambda_ > 0):
-            raise ValidationError("lambda must be positive")
         if not (tol > 0):
             raise ValidationError("tol must be positive")
-        self.lambda_ = float(lambda_)
+        self.lambda_ = _check_lambda(lambda_)
         self.max_iters = int(max_iters)
         self.tol = float(tol)
 
@@ -64,6 +69,7 @@ def solve_brute_force(graph, labels, lam):
     """Exhaustive minimum over u in {0,1}^n; ties broken by the
     lexicographically smallest u. Refused above n = 20."""
     y = _check_labels(graph, labels)
+    lam = _check_lambda(lam)
     n = graph.n
     if n > 20:
         raise ValidationError("brute force refused for n > 20")
@@ -110,6 +116,7 @@ def solve_mincut(graph, labels, lam):
     arc per edge it separates, a true minimizer's at most n + m arcs.
     """
     y = _check_labels(graph, labels)
+    lam = _check_lambda(lam)
     n, m = graph.n, graph.m
     s, t = n, n + 1
     # perm lists the nodes in network order; rank[i] is node i's number there
@@ -183,7 +190,7 @@ def binarize(graph, labels, lam, u):
 def certify_overfit(graph, lam):
     """Dual bound s_i = (2 lambda/(eps n)) sum_j eta_eps(x_i - x_j), diagonal
     included. max s_i < 1 guarantees the unique minimizer is the labels."""
-    s = (2.0 * lam / (graph.eps * graph.n)) * graph.degree_sums
+    s = (2.0 * _check_lambda(lam) / (graph.eps * graph.n)) * graph.degree_sums
     smax = float(s.max())
     return smax < 1.0, 1.0 - smax
 

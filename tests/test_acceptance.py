@@ -389,12 +389,12 @@ def test_10_divergence_and_gtv_properties(capsys):
     for k in range(100):
         n = int(rng.integers(2, 41))
         d = 1 + k % 3
-        prof = KernelProfile(SHAPES[k % len(SHAPES)],
-                             scale=float(rng.uniform(0.6, 1.4)))
+        # a profile scale s is eps * s
+        prof, s = KernelProfile(SHAPES[k % len(SHAPES)]), float(rng.uniform(0.6, 1.4))
         # discarded draw: it keeps the stream, so the instances stay as recorded
         rng.uniform(0.5, 2.0)
         cloud = LabeledCloud(rng.random((n, d)), rng.integers(0, 2, n))
-        g = build(cloud, float(rng.uniform(0.3, 1.0)), prof)
+        g = build(cloud, s * float(rng.uniform(0.3, 1.0)), prof)
         v = rng.normal(size=n)
         p = rng.normal(size=(g.m, 2))
         dv = divergence(g, p)

@@ -212,6 +212,7 @@ def write_bad_inputs(tmp_path):
         (tmp_path / name).write_text(json.dumps(obj))
     (tmp_path / "no_excess.csv").write_text("regime,n,eps\noverfit,100,0.1\n")
     (tmp_path / "bad_n.csv").write_text("regime,n,excess_risk\noverfit,abc,0.1\n")
+    (tmp_path / "report.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
 
 
 BAD_INPUTS = {
@@ -233,6 +234,15 @@ BAD_INPUTS = {
     "interface-bad-shape": ["gamma-check", "--interface", "{d}/interface.json",
                             "--n-list", "100"],
     "sweep-config-list": ["sweep", "--config", "{d}/list.json"],
+    "plot-solution-no-data": ["plot", "--report", "{d}/report.csv", "--solution", "{d}/s.json"],
+    "solve-kernel-scale": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
+                           "--kernel", "gauss:scale=0.5"],
+    "sigma-kernel-scale": ["sigma", "--kernel", "gauss:scale=0.5"],
+    "solve-eps-inf": ["solve", "--data", "{d}/d.csv", "--eps", "inf", "--lambda", "0.01"],
+    **{"%s-lambda-%s" % (cmd, name): [cmd, "--data", "{d}/d.csv", "--eps", "0.3",
+                                      "--lambda", value]
+       for cmd in ("solve", "certify")
+       for name, value in (("negative", "-1"), ("zero", "0"), ("nan", "nan"), ("inf", "inf"))},
 }
 
 
@@ -315,8 +325,8 @@ def test_tl1_subcommand(tmp_path, capsys):
 def test_sigma_subcommand(tmp_path, capsys):
     assert run(tmp_path, "sigma", "--kernel", "indicator", "--d", "2") == 0
     assert json.loads(capsys.readouterr().out)["sigma"] == pytest.approx(4 / 3)
-    assert run(tmp_path, "sigma", "--kernel", "gauss:scale=0.5", "--d", "1") == 0
-    assert json.loads(capsys.readouterr().out)["sigma"] > 0
+    assert run(tmp_path, "sigma", "--kernel", "gauss", "--d", "1") == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_gamma_check_subcommand(tmp_path, capsys):
@@ -375,7 +385,7 @@ def test_gen_deterministic_bytes(tmp_path):
 def test_sweep_energy_recompute_invariant(tmp_path):
     from gtvclass.graph import build
     from gtvclass.groundtruth import BUILTIN_MODELS, sample
-    from gtvclass.kernels import parse_kernel
+    from gtvclass.kernels import KernelProfile
     from gtvclass.solver import energy
 
     cfg = write_sweep_config(tmp_path, n_list=[200], seeds=[5])
@@ -384,7 +394,7 @@ def test_sweep_energy_recompute_invariant(tmp_path):
         row = next(iter(csv.DictReader(fh)))
     model = BUILTIN_MODELS["quadrant"]()
     cloud = sample(model, int(row["n"]), int(row["seed"]))
-    g = build(cloud, float(row["eps"]), parse_kernel("indicator"))
+    g = build(cloud, float(row["eps"]), KernelProfile("indicator"))
     # the stored energy must match an independent recomputation
     u = cloud.labels.astype(float)  # overfit rows reproduce the labels
     e = energy(g, cloud.labels, float(row["lambda"]), u)

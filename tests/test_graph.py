@@ -71,8 +71,9 @@ def test_build_matches_direct_double_loop():
         for d in (1, 2, 3):
             n = 200 if d < 3 else 80
             pts = rng.random((n, d))
-            eps = float(rng.uniform(0.05, 0.3))
-            prof = KernelProfile(shape, scale=1.0 if shape == "indicator" else 0.02)
+            # smooth shapes at 0.02 eps: a profile scale s is eps * s
+            eps = float(rng.uniform(0.05, 0.3)) * (1.0 if shape == "indicator" else 0.02)
+            prof = KernelProfile(shape)
             g = gr.build(pts, eps, prof)
             ei, ej, w, deg = direct_build(pts, eps, prof)
             assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
@@ -114,7 +115,8 @@ def cutoff_cloud(kind, d, cutoff, rng):
        scale=st.sampled_from((1.0, 0.7, 0.3, 0.05)),
        eps=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_build_matches_all_pairs_at_the_cutoff(kind, d, shape, scale, eps, seed):
-    prof = KernelProfile(shape, scale=scale)
+    # a profile scale s is eps * s
+    prof, eps = KernelProfile(shape), scale * eps
     rng = np.random.Generator(np.random.Philox(seed))
     pts = cutoff_cloud(kind, d, prof.support_radius * eps, rng)
     g = gr.build(pts, eps, prof)

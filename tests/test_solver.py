@@ -35,8 +35,9 @@ def random_instance(rng, nmax=12):
     eps = float(rng.uniform(0.2, 1.2))
     lam = float(10.0 ** rng.uniform(-3, 1))
     shape = ("indicator", "exponential", "gaussian")[int(rng.integers(3))]
-    prof = KernelProfile(shape, scale=1.0 if shape == "indicator" else 0.3)
-    return gr.build(pts, eps, prof), labels, lam
+    # smooth shapes at profile scale 0.3, i.e. at 0.3 eps and 0.3^(d+1) lambda
+    s = 1.0 if shape == "indicator" else 0.3
+    return gr.build(pts, s * eps, KernelProfile(shape)), labels, s ** (d + 1) * lam
 
 
 def test_energy_examples():
@@ -153,11 +154,14 @@ def test_mincut_matches_networkx_oracle():
         n, d = int(rng.integers(100, 400)), 1 + k % 3
         pts = rng.random((n, d))
         y = ((pts[:, 0] > 0.5) ^ (rng.random(n) < 0.25)).astype(int)
-        prof = KernelProfile("indicator") if k % 2 else KernelProfile("gaussian", scale=0.3)
+        prof = KernelProfile("indicator" if k % 2 else "gaussian")
         # tens of neighbours per node; lambda near the overfit edge, where
         # flipping one node trades 1/n against its cut edges
         eps = (20.0 / n) ** (1.0 / d) / (2.0 if k % 2 else 2.4)
         lam = n * eps ** (d + 1) * float(10.0 ** rng.uniform(-1.5, -0.5))
+        # the gaussian at profile scale 0.3: 0.3 eps and 0.3^(d+1) lambda
+        s = 1.0 if k % 2 else 0.3
+        eps, lam = s * eps, s ** (d + 1) * lam
         g = gr.build(pts, eps, prof)
         mc = sv.solve_mincut(g, y, lam)
         u, cut_value = networkx_min_source_side(g, y, lam)
@@ -169,22 +173,23 @@ def test_mincut_matches_networkx_oracle():
 
 
 def test_mincut_gap_bounds_quantization_excess():
-    # smooth kernels at scale 0.05: many arcs round to zero in int32
+    # smooth kernels at profile scale 0.05, i.e. at 0.05 eps and
+    # 0.05^(d+1) lambda: many arcs round to zero in int32
     rng = np.random.Generator(np.random.Philox(27))
     for k in range(120):
         n, d = int(rng.integers(8, 17)), int(rng.integers(1, 4))
         pts = rng.random((n, d))
         y = rng.integers(0, 2, n)
-        g = gr.build(pts, float(rng.uniform(0.3, 1.5)),
-                     KernelProfile(("gaussian", "exponential")[k % 2], scale=0.05))
-        lam = float(10.0 ** rng.uniform(-3, 1))
+        g = gr.build(pts, 0.05 * float(rng.uniform(0.3, 1.5)),
+                     KernelProfile(("gaussian", "exponential")[k % 2]))
+        lam = 0.05 ** (d + 1) * float(10.0 ** rng.uniform(-3, 1))
         mc = sv.solve_mincut(g, y, lam)
         bf = sv.solve_brute_force(g, y, lam)
         assert 0.0 < mc.gap and mc.energy_binary - bf.energy_binary <= mc.gap
     # a tie made by rounding: the edge costs 1e-12 less than the label it
     # saves, but both round to 2^31 - 1, and the minimal source side is empty
     for shape in ("gaussian", "exponential"):
-        g = gr.build(np.array([[0.0], [0.03]]), 1.0, KernelProfile(shape, scale=0.05))
+        g = gr.build(np.array([[0.0], [0.03]]), 0.05, KernelProfile(shape))
         y = np.array([1, 0])
         lam = 0.5 * (1.0 - 1e-12) / (2.0 * g.w[0] / (4 * g.eps))
         mc = sv.solve_mincut(g, y, lam)
@@ -252,10 +257,12 @@ def test_binarize_matches_enumeration_oracle():
         n = int(rng.integers(2, 401))
         d = int(rng.integers(1, 4))
         shape = ("indicator", "gaussian")[trial % 2]
-        prof = KernelProfile(shape, scale=1.0 if shape == "indicator" else 0.3)
-        g = gr.build(rng.random((n, d)), float(rng.uniform(0.05, 0.4)), prof)
+        # the gaussian at profile scale 0.3: 0.3 eps and 0.3^(d+1) lambda
+        s = 1.0 if shape == "indicator" else 0.3
+        g = gr.build(rng.random((n, d)), s * float(rng.uniform(0.05, 0.4)),
+                     KernelProfile(shape))
         y = rng.integers(0, 2, n)
-        lam = float(10.0 ** rng.uniform(-3, 1))
+        lam = s ** (d + 1) * float(10.0 ** rng.uniform(-3, 1))
         u = rng.integers(0, 5, n) / 4.0
         e = sv.energy(g, y, lam, sv.binarize(g, y, lam, u))
         e_ref = sv.energy(g, y, lam, binarize_by_enumeration(g, y, lam, u))
@@ -351,7 +358,9 @@ def pd_parity_instance(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((200, 2))
     y = ((pts[:, 0] > 0.5) ^ (rng.random(200) < 0.2)).astype(int)
-    return gr.build(pts, 0.2, KernelProfile("gaussian", scale=0.3)), y
+    # the gaussian at profile scale 0.3 and eps 0.2, lambda 0.2: the map
+    # to (0.3 * 0.2, 0.3^3 * 0.2) keeps the recorded values below
+    return gr.build(pts, 0.3 * 0.2, KernelProfile("gaussian")), y
 
 
 @pytest.mark.parametrize("seed, max_iters, expect", [
@@ -366,7 +375,8 @@ def test_primal_dual_parity_with_recorded_values(seed, max_iters, expect):
     # values recorded from the two-slot solver that called energy() every
     # iteration; a change of dual storage or energy bookkeeping must keep them
     g, y = pd_parity_instance(seed)
-    r = sv.solve_primal_dual(g, y, SolverConfig(0.2, tol=1e-9, max_iters=max_iters))
+    r = sv.solve_primal_dual(g, y, SolverConfig(0.3 ** 3 * 0.2, tol=1e-9,
+                                                max_iters=max_iters))
     iters, converged, e_relaxed, e_binary, gap = expect
     assert (r.iters, r.converged) == (iters, converged)
     assert r.energy_relaxed == pytest.approx(e_relaxed, rel=1e-12, abs=0.0)
