@@ -47,14 +47,21 @@ def build(cloud, eps, profile):
     # the k-d tree rounds distances its own way; the margin only widens the
     # candidate set, and w > 0 below decides which pairs become edges
     cutoff = profile.support_radius * eps * (1.0 + 1e-9)
-    gi, gj = cKDTree(points).query_pairs(cutoff, output_type="ndarray").T
-    diff = points[gi] - points[gj]
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    w = kernels.eval(profile, dist / eps) / eps ** d
+    pairs = cKDTree(points).query_pairs(cutoff, output_type="ndarray")
+    # the pairs come with i < j in no set order; sorting their keys i*n + j
+    # costs less than an argsort and the gathers it needs
+    gi, gj = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
+    del pairs
+    # squared distances summed one axis at a time, without an (m, d)
+    # difference array: for d < 8 these are the additions of numpy's axis-1
+    # sum in the same order, so the weights are bit for bit those of that sum
+    sq = np.zeros(gi.size)
+    for x in points.T:
+        t = x[gi] - x[gj]
+        sq += t * t
+    w = kernels.eval(profile, np.sqrt(sq) / eps) / eps ** d
     keep = w > 0
     gi, gj, w = gi[keep], gj[keep], w[keep]
-    order = np.argsort(gi * n + gj)
-    gi, gj, w = gi[order], gj[order], w[order]
     deg = (np.bincount(gi, weights=w, minlength=n)
            + np.bincount(gj, weights=w, minlength=n)).astype(float)
     deg += 1.0 / eps ** d   # diagonal term eta_eps(0), eta(0) = 1

@@ -8,6 +8,7 @@ belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 """
 
 import csv
+import io
 import json
 from functools import cached_property
 
@@ -284,18 +285,28 @@ def save_cloud(cloud, path):
 
 
 def load_cloud(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or not rows[0] or rows[0][-1] != "y":
+    """Read a dataset CSV written by save_cloud: header x0,...,x{d-1},y, then
+    one row per point with exactly d finite coordinates and a label 0 or 1.
+    Fields may be quoted and padded with spaces; anything else, a blank line
+    included, is a ValidationError."""
+    with open(path) as f:
+        text = f.read()
+    header, _, body = text.partition("\n")
+    names = header.split(",")
+    d = len(names) - 1
+    if d < 1 or names != ["x%d" % k for k in range(d)] + ["y"]:
         raise ValidationError("dataset CSV must have header x0,...,y")
-    d = len(rows[0]) - 1
-    if [*rows[0][:d]] != ["x%d" % k for k in range(d)]:
-        raise ValidationError("dataset CSV must have header x0,...,y")
-    try:
-        pts = np.array([[float(v) for v in r[:d]] for r in rows[1:]], dtype=float)
-        labels = np.array([int(r[d]) for r in rows[1:]])
-    except (ValueError, IndexError) as e:
-        raise ValidationError("malformed dataset row: %s" % e) from None
-    if pts.size == 0:
+    if not body:
         raise ValidationError("dataset has no rows")
-    return LabeledCloud(pts, labels)
+    # loadtxt skips blank lines instead of failing on them
+    if body.startswith("\n") or "\n\n" in body:
+        raise ValidationError("malformed dataset row: blank line")
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=[("x", float, (d,)), ("y", np.int64)],
+                          delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except ValueError as e:
+        raise ValidationError("malformed dataset row: %s" % e) from None
+    points = np.ascontiguousarray(rows["x"])
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("malformed dataset row: non-finite coordinate")
+    return LabeledCloud(points, rows["y"])

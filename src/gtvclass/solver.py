@@ -28,8 +28,10 @@ def _check_lambda(lam):
 
 class SolverConfig:
     def __init__(self, lambda_, max_iters=20000, tol=1e-7):
-        if not (tol > 0):
-            raise ValidationError("tol must be positive")
+        # with tol >= 1 the plateau test passes at its first check whenever
+        # the energy stays within [0, 2 ref], so converged would say nothing
+        if not (0 < tol < 1):
+            raise ValidationError("tol must lie in (0, 1)")
         self.lambda_ = _check_lambda(lambda_)
         self.max_iters = int(max_iters)
         self.tol = float(tol)
@@ -119,10 +121,15 @@ def solve_mincut(graph, labels, lam):
     lam = _check_lambda(lam)
     n, m = graph.n, graph.m
     s, t = n, n + 1
-    # perm lists the nodes in network order; rank[i] is node i's number there
+    # perm lists the nodes in network order; rank[i] is node i's number there.
+    # The edges are sorted by (ei, ej) and unique, so they are already the
+    # rows of a canonical CSR matrix: row i holds the ej of its edges.
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(graph.ei, minlength=n), out=indptr[1:])
     perm = reverse_cuthill_mckee(
-        csr_matrix((np.ones(m, np.int8), (graph.ei, graph.ej)), shape=(n, n)),
+        csr_matrix((np.ones(m, np.int8), graph.ej.astype(np.int32), indptr), shape=(n, n)),
         symmetric_mode=False)
+    del indptr
     rank = np.empty(n, np.int32)
     rank[perm] = np.arange(n, dtype=np.int32)
     ri, rj = rank[graph.ei], rank[graph.ej]
@@ -131,13 +138,15 @@ def solve_mincut(graph, labels, lam):
     one = y == 1.0
     rows = np.concatenate([np.where(one, s, rank), ri, rj])
     cols = np.concatenate([np.where(one, rank, t), rj, ri])
+    del ri, rj
     pair_cap = (2.0 * lam / (n ** 2 * graph.eps)) * graph.w
-    caps = np.concatenate([np.full(n, 1.0 / n), pair_cap, pair_cap])
-    del ri, rj, pair_cap
     # scipy's maximum_flow saturates silently past int32
-    scale = (2.0 ** 31 - 1.0) / caps.max()
-    cap = csr_matrix((np.rint(caps * scale).astype(np.int32), (rows, cols)),
-                     shape=(n + 2, n + 2))
+    scale = (2.0 ** 31 - 1.0) / np.max(pair_cap, initial=1.0 / n)
+    pair_cap = np.rint(pair_cap * scale).astype(np.int32)
+    caps = np.concatenate([np.full(n, np.rint((1.0 / n) * scale), np.int32),
+                           pair_cap, pair_cap])
+    del pair_cap
+    cap = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
     del rows, cols, caps
     res = maximum_flow(cap, s, t)
     # arcs with residual capacity; cap - flow can overflow int32 where an

@@ -213,6 +213,9 @@ def write_bad_inputs(tmp_path):
     (tmp_path / "no_excess.csv").write_text("regime,n,eps\noverfit,100,0.1\n")
     (tmp_path / "bad_n.csv").write_text("regime,n,excess_risk\noverfit,abc,0.1\n")
     (tmp_path / "report.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
+    for name, row in (("nan", "nan,0.25,1"), ("inf", "0.5,inf,1"),
+                      ("extra-field", "0.5,0.25,1,junk")):
+        (tmp_path / ("data-%s.csv" % name)).write_text("x0,x1,y\n0.1,0.2,0\n%s\n" % row)
 
 
 BAD_INPUTS = {
@@ -243,6 +246,12 @@ BAD_INPUTS = {
                                       "--lambda", value]
        for cmd in ("solve", "certify")
        for name, value in (("negative", "-1"), ("zero", "0"), ("nan", "nan"), ("inf", "inf"))},
+    **{"%s-data-%s" % (cmd, name): [cmd, "--data", "{d}/data-%s.csv" % name, "--eps", "0.3",
+                                    "--lambda", "0.01"]
+       for cmd in ("solve", "certify") for name in ("nan", "inf", "extra-field")},
+    **{"solve-pd-tol-%s" % name: ["solve", "--data", "{d}/d.csv", "--eps", "0.3",
+                                  "--lambda", "0.01", "--method", "pd", "--tol", value]
+       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"))},
 }
 
 

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gtvclass import ValidationError
 from gtvclass import groundtruth as gt
@@ -302,3 +304,85 @@ def test_load_cloud_rejects_bad_header(tmp_path):
     p.write_text("a,b\n1,2\n")
     with pytest.raises(ValidationError):
         gt.load_cloud(p)
+
+
+def csv_module_load_cloud(path):
+    # the reader load_cloud replaced: csv.reader, float() and int() per field
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or not rows[0] or rows[0][-1] != "y":
+        raise ValidationError("dataset CSV must have header x0,...,y")
+    d = len(rows[0]) - 1
+    if [*rows[0][:d]] != ["x%d" % k for k in range(d)]:
+        raise ValidationError("dataset CSV must have header x0,...,y")
+    try:
+        pts = np.array([[float(v) for v in r[:d]] for r in rows[1:]], dtype=float)
+        labels = np.array([int(r[d]) for r in rows[1:]])
+    except (ValueError, IndexError) as e:
+        raise ValidationError("malformed dataset row: %s" % e) from None
+    if pts.size == 0:
+        raise ValidationError("dataset has no rows")
+    return gt.LabeledCloud(pts, labels)
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-300, -1e300, 1.7976931348623157e308)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 40))
+def test_load_cloud_matches_csv_module_oracle(tmp_path_factory, data, d, n):
+    coords = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+    points = data.draw(arrays(float, (n, d), elements=coords))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    gt.save_cloud(gt.LabeledCloud(points, labels), path)
+    got, want = gt.load_cloud(path), csv_module_load_cloud(path)
+    for c in (got, want):
+        assert c.points.shape == (n, d)
+        assert np.array_equal(c.points.view(np.int64), points.view(np.int64))
+        assert np.array_equal(c.labels, labels) and c.labels.dtype == np.int64
+
+
+# (file text, load_cloud accepts it, the csv-module oracle accepts it)
+DATASET_CASES = {
+    "blank-line": ("x0,y\n0.5,1\n\n0.25,0\n", False, False),
+    "blank-last-line": ("x0,y\n0.5,1\n\n", False, False),
+    "blank-first-row": ("x0,y\n\n0.5,1\n", False, False),
+    "missing-label": ("x0,x1,y\n0.5,0.25,1\n0.5,0.25\n", False, False),
+    "missing-field": ("x0,x1,y\n0.5,,1\n", False, False),
+    "label-1.0": ("x0,y\n0.5,1.0\n", False, False),
+    "label-2": ("x0,y\n0.5,2\n", False, False),
+    "header-only": ("x0,x1,y\n", False, False),
+    "header-no-newline": ("x0,x1,y", False, False),
+    "empty-file": ("", False, False),
+    "wrong-header": ("x0,x2,y\n0.5,0.25,1\n", False, False),
+    "header-no-x": ("y\n1\n", False, False),
+    "comment-row": ("x0,y\n0.5,1\n#0.25,0\n", False, False),
+    "crlf": ("x0,x1,y\r\n0.5,0.25,1\r\n-3e-5,1e300,0\r\n", True, True),
+    "spaces": ("x0,x1,y\n 0.5 , 0.25 , 1 \n-3e-5,1e300,0\n", True, True),
+    "quoted": ('x0,x1,y\n"0.5","0.25","1"\n-3e-5,1e300,0\n', True, True),
+    "nan": ("x0,x1,y\n0.5,nan,1\n", False, True),
+    "inf": ("x0,x1,y\n-inf,0.25,1\n", False, True),
+    "extra-field": ("x0,x1,y\n0.5,0.25,1,junk\n", False, True),
+    "underscore": ("x0,x1,y\n1_0,0.25,1\n", False, True),
+    "quoted-header": ('"x0","y"\n0.5,1\n', False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_CASES))
+def test_load_cloud_malformed_table(tmp_path, case):
+    text, accepted, oracle_accepted = DATASET_CASES[case]
+    p = tmp_path / "case.csv"
+    p.write_bytes(text.encode())
+
+    def outcome(reader):
+        try:
+            return reader(p)
+        except ValidationError:
+            return None
+
+    got, want = outcome(gt.load_cloud), outcome(csv_module_load_cloud)
+    assert (got is not None, want is not None) == (accepted, oracle_accepted)
+    if accepted:
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.labels, want.labels)

@@ -411,5 +411,6 @@ def test_gtv_of_minimizer_nonincreasing_in_lambda():
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(0.0)
-    with pytest.raises(ValidationError):
-        SolverConfig(0.1, tol=0.0)
+    for tol in (0.0, -1e-7, 1.0, 2.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            SolverConfig(0.1, tol=tol)
