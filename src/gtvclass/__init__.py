@@ -14,4 +14,14 @@ class ValidationError(ValueError):
     """Invalid argument or malformed input data."""
 
 
+def read_text(path):
+    """The text of a UTF-8 file. Bytes that do not decode are malformed
+    input: a ValidationError, not a UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError("%s is not UTF-8 text: %s" % (path, exc)) from None
+
+
 __version__ = "0.1.0"

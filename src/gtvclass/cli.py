@@ -12,11 +12,12 @@ versioned schema (the runtime_ms column is the one wall-clock exception),
 all other outputs are JSON records, plots are self-contained SVG.
 
 Exit codes: 0 success, 2 invalid input (flags, JSON fields, report columns,
-config keys), 3 I/O error.
+config keys, input files that are not UTF-8), 3 I/O error.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import ValidationError
+from . import ValidationError, read_text
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_classify, bayes_risk,
                           load_cloud, load_model, sample, save_cloud)
@@ -57,11 +58,10 @@ def _resolve_model(ref):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("malformed JSON in %s: %s" % (path, exc))
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError("malformed JSON in %s: %s" % (path, exc))
 
 
 def _out_path(path, out_dir):
@@ -409,8 +409,7 @@ def _cmd_plot(args):
         raise ValidationError("--solution needs the --data it labels")
     docs = []   # (file name, SVG text)
     if args.report:
-        with open(args.report, newline="") as fh:
-            raw = list(csv.DictReader(fh))
+        raw = list(csv.DictReader(io.StringIO(read_text(args.report))))
         if not raw:
             raise ValidationError("report %s is empty" % args.report)
         groups = {}   # regime -> n -> excess risks

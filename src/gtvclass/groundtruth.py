@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ValidationError
+from . import ValidationError, read_text
 
 
 class GroundTruthModel:
@@ -266,11 +266,10 @@ def model_from_dict(obj):
 
 
 def load_model(path):
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValidationError("model file is not valid JSON: %s" % e) from None
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise ValidationError("model file is not valid JSON: %s" % e) from None
     return model_from_dict(obj)
 
 
@@ -289,9 +288,7 @@ def load_cloud(path):
     one row per point with exactly d finite coordinates and a label 0 or 1.
     Fields may be quoted and padded with spaces; anything else, a blank line
     included, is a ValidationError."""
-    with open(path) as f:
-        text = f.read()
-    header, _, body = text.partition("\n")
+    header, _, body = read_text(path).partition("\n")
     names = header.split(",")
     d = len(names) - 1
     if d < 1 or names != ["x%d" % k for k in range(d)] + ["y"]:

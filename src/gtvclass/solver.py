@@ -204,20 +204,31 @@ def certify_overfit(graph, lam):
     return smax < 1.0, 1.0 - smax
 
 
+def _pd_operator(graph, c):
+    """K, m x n CSR with (K u)_e = c w_e (u_ej - u_ei), and K^T, a view of its
+    arrays. The two-slot adjoint of K is 2 K^T: 2 K^T q = c div([q, -q])."""
+    cw = c * graph.w
+    K = csr_matrix((np.stack([-cw, cw], axis=1).ravel(),
+                    np.stack([graph.ei, graph.ej], axis=1).ravel(),
+                    np.arange(0, 2 * graph.m + 1, 2)), shape=(graph.m, graph.n))
+    return K, K.T
+
+
 def solve_primal_dual(graph, labels, config):
-    """First-order primal-dual iteration on
+    """Chambolle-Pock primal-dual iteration on
 
         min_{u in [0,1]^n} max_{|p| <= 1} c <div(p), u> + (1/n) sum |u_i - y_i|
 
     with c = lambda/(n^2 eps). p starts at 0 and its projection onto [-1, 1]
-    is odd, so p_ji = -p_ij for every iterate: one antisymmetric slot q per
-    edge is stored. The primal step soft-shrinks u toward y by tau/n and clips
-    to [0, 1]. Steps sized from a 30-step power estimate of the operator norm.
-    Each iterate's edge differences are gathered once and give both its
-    energy, tracked every iteration, and, by linearity, K(2 u_new - u_old).
-    Stops when the relative energy change over 50 iterations drops below tol;
-    the lowest-energy iterate is kept, so energy_relaxed never exceeds the
-    energy of the initial point u0 = labels.
+    is odd, so p_ji = -p_ij for every iterate: one slot q per edge is stored,
+    and c div(p) = 2 K^T q (see _pd_operator). Steps tau = sigma = 1/L come
+    from a 30-step power estimate of L. With K scaled by sigma, an iteration
+    is q <- clip(q + 2 K u - K u_old, -1, 1), then u - 2 K^T q soft-shrunk
+    toward y by tau/n and clipped to [0, 1], and its energy reuses K u:
+    lambda gtv(u) = (2/sigma) |K u|_1. The lowest-energy iterate is kept, so
+    energy_relaxed <= energy(labels). converged means only that the energy
+    changed by less than tol (relative) over 50 iterations, a plateau that can
+    come with a large gap (ROADMAP item 3); gap is the certificate.
     """
     y = _check_labels(graph, labels)
     lam = config.lambda_
@@ -226,45 +237,34 @@ def solve_primal_dual(graph, labels, config):
     if m == 0:
         return SolveResult(y.copy(), y.copy(), e0, e0, 0, 0.0, "primal_dual")
     c = lam / (n ** 2 * graph.eps)
-    cw = c * graph.w
-    gscale = 2.0 / (n ** 2 * graph.eps)   # gtv = gscale * sum w |d|
-    ei, ej = graph.ei, graph.ej
-
-    def K(u):
-        return cw * (u[ej] - u[ei])
-
-    def KT(q):
-        # the two-slot p_ji - p_ij is -q - q, which equals -2.0 * q exactly
-        a = cw * (-2.0 * q)
-        return np.bincount(ei, weights=a, minlength=n) - np.bincount(ej, weights=a, minlength=n)
+    K, KT = _pd_operator(graph, c)
 
     rng = np.random.Generator(np.random.Philox(2718))
     v = rng.standard_normal(n)
     lsq = 1.0
     for _ in range(30):
-        v = KT(K(v))
+        v = 2.0 * (KT @ (K @ v))
         lsq = np.linalg.norm(v)
         if lsq == 0:
             break
         v /= lsq
-    L = np.sqrt(lsq) * 1.02 if lsq > 0 else 1.0  # small margin over the estimate
+    L = float(np.sqrt(lsq)) * 1.02 if lsq > 0 else 1.0  # small margin over the estimate
     tau = sigma = 1.0 / L
+    K.data *= sigma   # and so KT, which shares it: 2 KT q is now 2 tau K^T q
 
-    u, d = y.copy(), y[ej] - y[ei]   # d: edge differences of the iterate u
-    kbar = cw * d                     # K(ubar) with ubar = u0
+    u = y.copy()
+    ku = kold = K @ u   # sigma K u of the iterate and of the one before
     q = np.zeros(m)
     best_e, best_u, best_q = e0, u.copy(), q.copy()
     hist = [e0]
     it = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        q = np.clip(q + sigma * kbar, -1.0, 1.0)
-        a = (u - tau * KT(q)) - y
+        q = np.clip(q + (2.0 * ku - kold), -1.0, 1.0)
+        a = (u - 2.0 * (KT @ q)) - y
         u = np.clip(y + np.sign(a) * np.maximum(np.abs(a) - tau / n, 0.0), 0.0, 1.0)
-        dnew = u[ej] - u[ei]
-        kbar = cw * (2.0 * dnew - d)   # K(2 u_new - u_old)
-        d = dnew
-        e = lam * (gscale * float(np.sum(graph.w * np.abs(d)))) + float(np.abs(u - y).mean())
+        kold, ku = ku, K @ u
+        e = (2.0 / sigma) * float(np.abs(ku).sum()) + float(np.abs(u - y).mean())
         if e < best_e:
             best_e, best_u, best_q = e, u.copy(), q.copy()
         hist.append(e)
@@ -274,7 +274,7 @@ def solve_primal_dual(graph, labels, config):
                 converged = True
                 break
     # certified lower bound from the dual feasible point at the best iterate;
-    # the two-slot divergence, not KT, keeps it an independent check
+    # the two-slot divergence, not K, keeps it an independent check
     div = divergence(graph, np.stack([best_q, -best_q], axis=1))
     dual = float(np.sum(np.minimum(y / n, c * div + (1.0 - y) / n)))
     gap = best_e - dual

@@ -267,6 +267,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# one file per reader, each with bytes that are not UTF-8
+NON_UTF8 = {
+    "data": (b"x0,y\n0.5,1\n\xff\xfe,0\n",
+             ["solve", "--data", "{f}", "--eps", "0.3", "--lambda", "0.01"]),
+    "sweep-config": (b'{"model": "\xff"}\n', ["sweep", "--config", "{f}"]),
+    "model": (b'{"name": "\xfe"}\n', ["gamma-check", "--model", "{f}", "--n-list", "100"]),
+    "report": (b"regime,n,excess_risk\n\xff,100,0.1\n", ["plot", "--report", "{f}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8))
+def test_non_utf8_input_exits_2(tmp_path, capsys, case):
+    raw, argv = NON_UTF8[case]
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    assert run(tmp_path, *[a.format(f=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"tset_m": 400}, "tset_m"),
     ({"plots_dir": "plots"}, "plots_dir"),

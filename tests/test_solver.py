@@ -354,6 +354,62 @@ def test_primal_dual_certified_regime_returns_labels():
     assert r.energy_binary == pytest.approx(lam * gr.gtv(g, y), rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["indicator", "exponential", "gaussian"])
+def test_primal_dual_operators(d, shape):
+    # K u = c w (u_ej - u_ei) and its two-slot adjoint 2 K^T against the
+    # divergence, the inner product and the energy's gtv term. Each sum is
+    # compared to 1e-14 of the sum of its terms' magnitudes, since rounding
+    # differs where terms cancel.
+    rng = np.random.Generator(np.random.Philox(26 + d))
+    for _ in range(5):
+        n = int(rng.integers(2, 40))
+        s = 1.0 if shape == "indicator" else 0.3
+        g = gr.build(rng.random((n, d)), s * float(rng.uniform(0.2, 1.2)),
+                     KernelProfile(shape))
+        if g.m == 0:
+            continue
+        lam = float(10.0 ** rng.uniform(-3, 1))
+        c = lam / (n ** 2 * g.eps)
+        K, KT = sv._pd_operator(g, c)
+        assert K.shape == (g.m, n)
+        u, q = rng.random(n), rng.uniform(-1.0, 1.0, g.m)
+        ku, kq = K @ u, 2.0 * (KT @ q)
+        ku_mag = c * g.w * (u[g.ej] + u[g.ei])
+        assert np.all(np.abs(ku - c * g.w * (u[g.ej] - u[g.ei])) <= 1e-14 * ku_mag)
+        div = c * gr.divergence(g, np.stack([q, -q], axis=1))
+        a = 2.0 * c * g.w * np.abs(q)
+        kq_mag = np.bincount(g.ei, a, n) + np.bincount(g.ej, a, n)
+        assert np.all(np.abs(kq - div) <= 1e-14 * kq_mag)
+        assert abs(2.0 * (ku @ q) - u @ kq) <= 1e-14 * (u @ kq_mag)
+        sigma = float(rng.uniform(0.1, 10.0))
+        K.data *= sigma   # the solver's scaling, which KT shares
+        np.testing.assert_array_equal(2.0 * (KT @ q), 2.0 * (K.T @ q))
+        assert abs((2.0 / sigma) * np.abs(K @ u).sum() - lam * gr.gtv(g, u)) \
+            <= 1e-14 * 2.0 * ku_mag.sum()
+
+
+def test_primal_dual_zero_iterations_returns_labels():
+    g, y = pd_parity_instance(31)
+    lam = 0.3 ** 3 * 0.2
+    r = sv.solve_primal_dual(g, y, SolverConfig(lam, max_iters=0))
+    e = sv.energy(g, y, lam, y)
+    assert np.array_equal(r.u, y) and np.array_equal(r.u_binary, y)
+    assert (r.iters, r.converged) == (0, False)
+    # the dual point q = 0 bounds the energy below by 0
+    assert r.energy_relaxed == r.energy_binary == r.gap == e
+
+
+def test_primal_dual_edgeless_graph_returns_labels():
+    g = gr.build(np.array([[0.0], [1.0], [2.0]]), 0.5, KernelProfile("indicator"))
+    y = np.array([1, 0, 1])
+    assert g.m == 0
+    r = sv.solve_primal_dual(g, y, SolverConfig(0.1))
+    assert np.array_equal(r.u, y) and np.array_equal(r.u_binary, y)
+    assert r.gap == 0.0
+    assert r.energy_relaxed == r.energy_binary == sv.energy(g, y, 0.1, y) == 0.0
+
+
 def pd_parity_instance(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((200, 2))
