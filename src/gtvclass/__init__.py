@@ -3,7 +3,7 @@
 Modules:
     kernels      radial kernel profiles, surface tension
     groundtruth  piecewise-constant data distributions, sampling, Bayes quantities
-    graph        eps-neighborhood graphs, graph TV, discrete divergence
+    graph        eps-neighborhood graphs, graph TV, connected components
     solver       exact (min-cut) and relaxed (primal-dual) minimizers, certificate
     metrics      risks, TL1 distances, transport bracket, concentration diagnostic
     cli          command line driver for datasets, solves, and regime sweeps

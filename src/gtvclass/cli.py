@@ -34,7 +34,8 @@ from .kernels import KernelProfile, surface_tension
 from .metrics import (bayes_agreement, continuum_tv_indicator, empirical_risk,
                       gamma_check, test_risk, tl1_exact, tl1_proxy_1nn,
                       voronoi_extend)
-from .solver import SolverConfig, certify_overfit, solve_mincut, solve_primal_dual
+from .solver import (MAX_ITERS, TOL, SolverConfig, certify_overfit, solve_mincut,
+                     solve_primal_dual)
 
 SCHEMA_VERSION = 1
 REGIMES = ("overfit", "consistent", "fixed", "underfit")
@@ -89,12 +90,14 @@ def _field(record, key, kind, where):
                               % (where, key, exc)) from None
 
 
-def _int_from(lo):
-    """Converter to an integer >= lo, from a flag's text or a JSON value."""
+def _int_from(lo, from_json=False):
+    """Converter to an integer >= lo, from a flag's text or, with from_json,
+    from a JSON integer: a JSON bool, float or string is refused."""
     def integer(value):
-        if isinstance(value, (bool, float)) or int(value) < lo:
+        value = value if from_json else int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
             raise ValueError("%r is not an integer >= %d" % (value, lo))
-        return int(value)
+        return value
     return integer
 
 
@@ -102,8 +105,19 @@ def _ints_from(lo):
     def integers(value):
         if not isinstance(value, list) or not value:
             raise ValueError("expected a nonempty list")
-        return [_int_from(lo)(v) for v in value]
+        return [_int_from(lo, from_json=True)(v) for v in value]
     return integers
+
+
+def _json(kind):
+    """Converter that takes only a JSON value of one kind: str a string, dict
+    an object, float a number. A bool is none of them."""
+    types = (int, float) if kind is float else kind
+    def value_of(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError("expected a JSON %s, got %r" % (kind.__name__, value))
+        return kind(value)
+    return value_of
 
 
 def _read(raw, kinds, where, **defaults):
@@ -135,22 +149,22 @@ class SweepConfig:
     c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
     """
 
-    KEYS = {"model": str, "n_list": _ints_from(1), "eps_rule": dict,
-            "lambda_rule": dict, "kernel": str, "seeds": _ints_from(0),
-            "test_m": _int_from(100), "report": str}
+    KEYS = {"model": _json(str), "n_list": _ints_from(1), "eps_rule": _json(dict),
+            "lambda_rule": _json(dict), "kernel": _json(str), "seeds": _ints_from(0),
+            "test_m": _int_from(100, from_json=True), "report": _json(str)}
 
     def __init__(self, raw):
         self.__dict__.update(_read(raw, self.KEYS, "sweep config", kernel="indicator",
                                    test_m=2000, report="report.csv"))
-        self.eps_c, self.eps_a = _read(self.eps_rule, {"c": float, "a": float},
-                                       "eps_rule").values()
+        self.eps_c, self.eps_a = _read(
+            self.eps_rule, {"c": _json(float), "a": _json(float)}, "eps_rule").values()
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s"
                                   % (REGIMES,))
         _, self.lam_c, self.lam_b = _read(
-            self.lambda_rule, {"regime": str, "c": float, "b": float}, "lambda_rule",
-            c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
+            self.lambda_rule, {"regime": _json(str), "c": _json(float), "b": _json(float)},
+            "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
         if self.eps_c <= 0 or self.lam_c <= 0:
             raise ValidationError("rule constants must be positive")
 
@@ -495,8 +509,8 @@ def _build_parser():
         if extra:
             sp.add_argument("--method", choices=("pd", "mincut"),
                             default="mincut")
-            sp.add_argument("--max-iters", type=_int_from(0), default=20000)
-            sp.add_argument("--tol", type=float, default=1e-7)
+            sp.add_argument("--max-iters", type=_int_from(0), default=MAX_ITERS)
+            sp.add_argument("--tol", type=float, default=TOL)
 
     sp = add_parser("sweep", _cmd_sweep, help="run a regime sweep from a JSON config")
     sp.add_argument("--config", required=True)
@@ -514,7 +528,7 @@ def _build_parser():
     sp.add_argument("--model", default="builtin:halfplane")
     sp.add_argument("--kernel", default="indicator")
     sp.add_argument("--n-list", default="1000,4000,16000",
-                    type=lambda text: _ints_from(1)(text.split(",")))
+                    type=lambda text: [_int_from(1)(t) for t in text.split(",")])
     sp.add_argument("--eps-c", type=float, default=1.0)
     sp.add_argument("--eps-a", type=float, default=0.25)
     sp.add_argument("--vertical", type=float, default=0.5,

@@ -1,11 +1,11 @@
 """eps-neighborhood graphs over point clouds: construction via a k-d tree
-pair search, graph total variation, and the discrete divergence operator.
+pair search, graph total variation, and connected components.
 
 Weight convention: stored weights are w_ij = eta_eps(x_i - x_j) =
 eps^-d eta(|x_i - x_j|/eps), kept once per undirected pair i < j. The
 ordered double sums of the energy are recovered by a factor 2 in gtv and
-by the two per-edge slots of divergence's (m, 2) field: the primal-dual
-solver stores its antisymmetric dual as one slot per edge.
+in the primal-dual solver's edge operator, which stores its antisymmetric
+dual as one value per edge.
 """
 
 import numpy as np
@@ -78,17 +78,6 @@ def gtv(graph, u):
         return 0.0
     return 2.0 / (graph.n ** 2 * graph.eps) * float(
         np.sum(graph.w * np.abs(u[graph.ei] - u[graph.ej])))
-
-
-def divergence(graph, p):
-    """div(p)_i = sum_j eta_eps(x_i - x_j)(p_ji - p_ij) for an (m, 2) field p:
-    p[e, 0] is the i->j slot and p[e, 1] the j->i slot of edge e = (i, j)."""
-    vals = np.asarray(p, dtype=float)
-    if vals.shape != (graph.m, 2):
-        raise ValidationError("edge field does not match the graph")
-    a = graph.w * (vals[:, 1] - vals[:, 0])
-    return (np.bincount(graph.ei, weights=a, minlength=graph.n)
-            - np.bincount(graph.ej, weights=a, minlength=graph.n))
 
 
 def num_components(graph):

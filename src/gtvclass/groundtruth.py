@@ -7,7 +7,6 @@ the domain's upper face, which is closed, so every point of the domain
 belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 """
 
-import csv
 import io
 import json
 from functools import cached_property
@@ -277,10 +276,10 @@ def save_cloud(cloud, path):
     """Dataset CSV: header x0,...,x{d-1},y, one row per sample, floats written
     with enough digits to round-trip exactly."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x%d" % k for k in range(cloud.d)] + ["y"])
-        for i in range(cloud.n):
-            w.writerow(["%.17g" % v for v in cloud.points[i]] + [str(int(cloud.labels[i]))])
+        # \r\n line ends, as the csv module's writer has always written them
+        f.write(",".join(["x%d" % k for k in range(cloud.d)] + ["y"]) + "\r\n")
+        np.savetxt(f, np.column_stack([cloud.points, cloud.labels]),
+                   fmt=["%.17g"] * cloud.d + ["%d"], delimiter=",", newline="\r\n")
 
 
 def load_cloud(path):

@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import (breadth_first_order, maximum_flow,
                                   reverse_cuthill_mckee)
 
 from . import ValidationError
-from .graph import divergence, gtv
+from .graph import gtv
 
 
 def _check_lambda(lam):
@@ -26,10 +26,13 @@ def _check_lambda(lam):
     return float(lam)
 
 
+MAX_ITERS, TOL = 20000, 1e-7   # primal-dual defaults, the CLI's too
+
+
 class SolverConfig:
-    def __init__(self, lambda_, max_iters=20000, tol=1e-7):
-        # with tol >= 1 the plateau test passes at its first check whenever
-        # the energy stays within [0, 2 ref], so converged would say nothing
+    def __init__(self, lambda_, max_iters=MAX_ITERS, tol=TOL):
+        # the dual bound is at least 0, so gap <= energy: with tol >= 1 the
+        # stop rule would pass at its first check and certify nothing
         if not (0 < tol < 1):
             raise ValidationError("tol must lie in (0, 1)")
         self.lambda_ = _check_lambda(lambda_)
@@ -206,7 +209,7 @@ def certify_overfit(graph, lam):
 
 def _pd_operator(graph, c):
     """K, m x n CSR with (K u)_e = c w_e (u_ej - u_ei), and K^T, a view of its
-    arrays. The two-slot adjoint of K is 2 K^T: 2 K^T q = c div([q, -q])."""
+    arrays. K is the one dual representation: c div([q, -q]) = 2 K^T q."""
     cw = c * graph.w
     K = csr_matrix((np.stack([-cw, cw], axis=1).ravel(),
                     np.stack([graph.ei, graph.ej], axis=1).ravel(),
@@ -217,18 +220,19 @@ def _pd_operator(graph, c):
 def solve_primal_dual(graph, labels, config):
     """Chambolle-Pock primal-dual iteration on
 
-        min_{u in [0,1]^n} max_{|p| <= 1} c <div(p), u> + (1/n) sum |u_i - y_i|
+        min_{u in [0,1]^n} max_{|q| <= 1} 2 <K^T q, u> + (1/n) sum |u_i - y_i|
 
-    with c = lambda/(n^2 eps). p starts at 0 and its projection onto [-1, 1]
-    is odd, so p_ji = -p_ij for every iterate: one slot q per edge is stored,
-    and c div(p) = 2 K^T q (see _pd_operator). Steps tau = sigma = 1/L come
-    from a 30-step power estimate of L. With K scaled by sigma, an iteration
-    is q <- clip(q + 2 K u - K u_old, -1, 1), then u - 2 K^T q soft-shrunk
-    toward y by tau/n and clipped to [0, 1], and its energy reuses K u:
+    with K from _pd_operator at c = lambda/(n^2 eps): one dual value q per
+    edge, starting at 0. Steps tau = sigma = 1/L come from a 30-step power
+    estimate of L. With K scaled by sigma, an iteration is
+    q <- clip(q + 2 K u - K u_old, -1, 1), then u - 2 K^T q soft-shrunk toward
+    y by tau/n and clipped to [0, 1], and its energy reuses K u:
     lambda gtv(u) = (2/sigma) |K u|_1. The lowest-energy iterate is kept, so
-    energy_relaxed <= energy(labels). converged means only that the energy
-    changed by less than tol (relative) over 50 iterations, a plateau that can
-    come with a large gap (ROADMAP item 3); gap is the certificate.
+    energy_relaxed <= energy(labels). Every 10th iteration and at the cap, q
+    bounds the minimum below by sum_i min(y_i/n, a_i + (1 - y_i)/n), where
+    a = 2 K^T q is the u-step's product unscaled, an O(n) read; the best
+    bound (at first 0, that of q = 0) is kept. gap is energy_relaxed minus
+    it, and converged means gap <= tol * energy_relaxed: a certified gap.
     """
     y = _check_labels(graph, labels)
     lam = config.lambda_
@@ -236,8 +240,7 @@ def solve_primal_dual(graph, labels, config):
     e0 = energy(graph, labels, lam, y)
     if m == 0:
         return SolveResult(y.copy(), y.copy(), e0, e0, 0, 0.0, "primal_dual")
-    c = lam / (n ** 2 * graph.eps)
-    K, KT = _pd_operator(graph, c)
+    K, KT = _pd_operator(graph, lam / (n ** 2 * graph.eps))
 
     rng = np.random.Generator(np.random.Philox(2718))
     v = rng.standard_normal(n)
@@ -255,29 +258,23 @@ def solve_primal_dual(graph, labels, config):
     u = y.copy()
     ku = kold = K @ u   # sigma K u of the iterate and of the one before
     q = np.zeros(m)
-    best_e, best_u, best_q = e0, u.copy(), q.copy()
-    hist = [e0]
+    best_e, best_u, best_dual = e0, u.copy(), 0.0
     it = 0
-    converged = False
     for it in range(1, config.max_iters + 1):
         q = np.clip(q + (2.0 * ku - kold), -1.0, 1.0)
-        a = (u - 2.0 * (KT @ q)) - y
+        kq = 2.0 * (KT @ q)
+        a = (u - kq) - y
         u = np.clip(y + np.sign(a) * np.maximum(np.abs(a) - tau / n, 0.0), 0.0, 1.0)
         kold, ku = ku, K @ u
         e = (2.0 / sigma) * float(np.abs(ku).sum()) + float(np.abs(u - y).mean())
         if e < best_e:
-            best_e, best_u, best_q = e, u.copy(), q.copy()
-        hist.append(e)
-        if it >= 50 and it % 10 == 0:
-            ref = hist[-51]
-            if abs(ref - e) <= config.tol * max(abs(ref), 1e-12):
-                converged = True
+            best_e, best_u = e, u.copy()
+        if it % 10 == 0 or it == config.max_iters:
+            dual = float(np.sum(np.minimum(y / n, kq / tau + (1.0 - y) / n)))
+            best_dual = max(best_dual, dual)
+            if best_e - best_dual <= config.tol * best_e:
                 break
-    # certified lower bound from the dual feasible point at the best iterate;
-    # the two-slot divergence, not K, keeps it an independent check
-    div = divergence(graph, np.stack([best_q, -best_q], axis=1))
-    dual = float(np.sum(np.minimum(y / n, c * div + (1.0 - y) / n)))
-    gap = best_e - dual
+    gap = best_e - best_dual
     ub = binarize(graph, labels, lam, best_u)
-    return SolveResult(best_u, ub, best_e, energy(graph, labels, lam, ub),
-                       iters=it, gap=gap, method="primal_dual", converged=converged)
+    return SolveResult(best_u, ub, best_e, energy(graph, labels, lam, ub), iters=it,
+                       gap=gap, method="primal_dual", converged=gap <= config.tol * best_e)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from gtvclass import metrics as mx
-from gtvclass.graph import build, divergence, gtv
+from gtvclass.graph import build, gtv
 from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud,
                                   asymmetric_model, bayes_risk,
                                   halfplane_model, quadrant_model,
@@ -24,6 +24,7 @@ from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud,
 from gtvclass.kernels import SHAPES, KernelProfile, surface_tension
 from gtvclass.solver import (SolverConfig, certify_overfit, solve_brute_force,
                              solve_mincut, solve_primal_dual)
+from test_graph import divergence
 
 SEED_ORACLE = 101
 SEED_TIGHTNESS = 202

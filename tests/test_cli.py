@@ -297,6 +297,16 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     ({"test_m": 50}, "test_m"),
     ({"test_m": 150.5}, "test_m"),
     ({"n_list": [500.9]}, "n_list"),
+    ({"report": None}, "report"),
+    ({"report": 5}, "report"),
+    ({"model": 5}, "model"),
+    ({"eps_rule": [["c", 0.7], ["a", 0.333]]}, "eps_rule"),
+    ({"eps_rule": {"c": "0.7", "a": 0.333}}, "eps_rule"),
+    ({"eps_rule": {"c": 0.7, "a": True}}, "eps_rule"),
+    ({"lambda_rule": {"regime": "overfit", "c": 1e-3, "b": False}}, "lambda_rule"),
+    ({"n_list": ["500"]}, "n_list"),
+    ({"seeds": ["1"]}, "seeds"),
+    ({"test_m": "400"}, "test_m"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):

@@ -343,6 +343,28 @@ def test_load_cloud_matches_csv_module_oracle(tmp_path_factory, data, d, n):
         assert np.array_equal(c.labels, labels) and c.labels.dtype == np.int64
 
 
+def csv_module_save_cloud(cloud, path):
+    # the writer save_cloud replaced: csv.writer, one row per point
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x%d" % k for k in range(cloud.d)] + ["y"])
+        for i in range(cloud.n):
+            w.writerow(["%.17g" % v for v in cloud.points[i]] + [str(int(cloud.labels[i]))])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 40))
+def test_save_cloud_matches_csv_module_oracle(tmp_path_factory, data, d, n):
+    coords = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from(EDGE_VALUES + (-5e-324, -1e-300, 1e300)))
+    cloud = gt.LabeledCloud(data.draw(arrays(float, (n, d), elements=coords)),
+                            data.draw(arrays(np.int64, n, elements=st.integers(0, 1))))
+    got, want = (tmp_path_factory.getbasetemp() / name for name in ("got.csv", "want.csv"))
+    gt.save_cloud(cloud, got)
+    csv_module_save_cloud(cloud, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 # (file text, load_cloud accepts it, the csv-module oracle accepts it)
 DATASET_CASES = {
     "blank-line": ("x0,y\n0.5,1\n\n0.25,0\n", False, False),

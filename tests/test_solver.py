@@ -9,6 +9,7 @@ from gtvclass import graph as gr
 from gtvclass import solver as sv
 from gtvclass.kernels import KernelProfile
 from gtvclass.solver import SolverConfig
+from test_graph import divergence
 
 
 def three_point_line():
@@ -377,7 +378,7 @@ def test_primal_dual_operators(d, shape):
         ku, kq = K @ u, 2.0 * (KT @ q)
         ku_mag = c * g.w * (u[g.ej] + u[g.ei])
         assert np.all(np.abs(ku - c * g.w * (u[g.ej] - u[g.ei])) <= 1e-14 * ku_mag)
-        div = c * gr.divergence(g, np.stack([q, -q], axis=1))
+        div = c * divergence(g, np.stack([q, -q], axis=1))
         a = 2.0 * c * g.w * np.abs(q)
         kq_mag = np.bincount(g.ei, a, n) + np.bincount(g.ej, a, n)
         assert np.all(np.abs(kq - div) <= 1e-14 * kq_mag)
@@ -420,16 +421,18 @@ def pd_parity_instance(seed):
 
 
 @pytest.mark.parametrize("seed, max_iters, expect", [
-    # converges after 970 iterations, best iterate at 796
-    (31, 5000, (970, True, 0.16602425571754764, 0.16602419512258082,
-                0.00026798071159336856)),
-    # capped at 77; the best iterate, 74, lies between convergence checks
-    (35, 77, (77, False, 0.18565343440478993, 0.1856515434666479,
-              0.004163678618902766)),
+    # the relative gap stays above 1e-9 up to the cap; energy_binary is the
+    # min-cut energy
+    (31, 5000, (5000, False, 0.16602419566383456, 0.1660241951225808,
+                4.102774822131727e-05)),
+    # capped at 77; the best iterate, 74, lies between gap checks, and the
+    # bound is read at 70 and at the cap
+    (35, 77, (77, False, 0.18565343440478987, 0.18565154346664786,
+              0.0040023996598632094)),
 ])
 def test_primal_dual_parity_with_recorded_values(seed, max_iters, expect):
-    # values recorded from the two-slot solver that called energy() every
-    # iteration; a change of dual storage or energy bookkeeping must keep them
+    # values recorded from the solver that stops on its duality gap; a change
+    # of dual storage or energy bookkeeping must keep them
     g, y = pd_parity_instance(seed)
     r = sv.solve_primal_dual(g, y, SolverConfig(0.3 ** 3 * 0.2, tol=1e-9,
                                                 max_iters=max_iters))
@@ -438,6 +441,30 @@ def test_primal_dual_parity_with_recorded_values(seed, max_iters, expect):
     assert r.energy_relaxed == pytest.approx(e_relaxed, rel=1e-12, abs=0.0)
     assert r.energy_binary == pytest.approx(e_binary, rel=1e-12, abs=0.0)
     assert r.gap == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+
+def test_primal_dual_converged_certifies_its_gap():
+    # converged is a certified relative gap, never an energy plateau: on the
+    # instance below the labels stay put for the first 50 iterations, and
+    # they are the exact minimizer
+    rng = np.random.Generator(np.random.Philox(31))
+    pts = rng.random((200, 2))
+    y = ((pts[:, 0] > 0.5) ^ (rng.random(200) < 0.2)).astype(int)
+    cases = [(gr.build(pts, 0.25, KernelProfile("indicator")), y, 0.05)]
+    rng = np.random.Generator(np.random.Philox(27))
+    cases += [random_instance(rng) for _ in range(12)]
+    certified = 0
+    for k, (g, y, lam) in enumerate(cases):
+        cfg = SolverConfig(lam, max_iters=3000, tol=(1e-7, 1e-9, 1e-14)[k % 3])
+        r = sv.solve_primal_dual(g, y, cfg)
+        assert r.gap >= -1e-12
+        if r.converged:
+            certified += 1
+            assert r.gap <= cfg.tol * r.energy_relaxed
+        if k == 0:
+            assert r.converged and r.iters <= 30
+            assert r.energy_binary == sv.solve_mincut(g, y, lam).energy_binary
+    assert certified >= 6
 
 
 def test_huge_lambda_gives_majority_constant():
