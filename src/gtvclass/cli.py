@@ -85,7 +85,7 @@ def _field(record, key, kind, where):
     """kind(record[key]); a missing or malformed field is a ValidationError."""
     try:
         return kind(record[key])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("%s: missing or malformed %r (%s)"
                               % (where, key, exc)) from None
 
@@ -111,12 +111,16 @@ def _ints_from(lo):
 
 def _json(kind):
     """Converter that takes only a JSON value of one kind: str a string, dict
-    an object, float a number. A bool is none of them."""
+    an object, float a finite number. A bool is none of them, and neither is
+    the NaN, Infinity or overflowing 1e400 that Python's json reads."""
     types = (int, float) if kind is float else kind
     def value_of(value):
         if isinstance(value, bool) or not isinstance(value, types):
             raise TypeError("expected a JSON %s, got %r" % (kind.__name__, value))
-        return kind(value)
+        value = kind(value)
+        if kind is float and not np.isfinite(value):
+            raise ValueError("%r is not finite" % value)
+        return value
     return value_of
 
 
@@ -366,6 +370,10 @@ def _cmd_solve(args):
         "margin": margin, "components": num_components(g),
         "schema_version": SCHEMA_VERSION,
     }, args, args.out)
+    if not res.converged:
+        print("warning: primal-dual uncertified after %d iterations: gap %.6g > "
+              "tol * energy_relaxed %.6g" % (res.iters, res.gap, args.tol * res.energy_relaxed),
+              file=sys.stderr)
     return 0
 
 

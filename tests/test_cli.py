@@ -64,6 +64,25 @@ def test_solve_pd_method(tmp_path, capsys):
     assert rec["energy_binary"] <= rec["energy_relaxed"] + 1e-9
 
 
+def test_solve_pd_uncertified_warns_on_stderr(tmp_path, capsys):
+    run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "80",
+        "--out", "d.csv", "--seed", "1")
+    capsys.readouterr()
+    argv = ["solve", "--data", str(tmp_path / "d.csv"), "--eps", "0.25",
+            "--lambda", "0.05", "--method", "pd"]
+    assert run(tmp_path, *argv) == 0
+    assert capsys.readouterr().err == ""
+    assert run(tmp_path, *argv, "--max-iters", "5") == 0
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
+    assert (rec["iters"], rec["converged"]) == (5, False)
+    # one line, and the JSON on stdout is what --out writes
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert "5 iterations" in err and "gap %.6g" % rec["gap"] in err
+    assert run(tmp_path, *argv, "--max-iters", "5", "--out", "s.json") == 0
+    assert (tmp_path / "s.json").read_text() == out
+
+
 def test_certify_subcommand(tmp_path, capsys):
     run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "60",
         "--out", "d.csv", "--seed", "2")
@@ -307,6 +326,14 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     ({"n_list": ["500"]}, "n_list"),
     ({"seeds": ["1"]}, "seeds"),
     ({"test_m": "400"}, "test_m"),
+    # Python's json reads NaN and Infinity (and 1e400) as floats, and an
+    # integer of 401 digits that no float holds
+    ({"eps_rule": {"c": 0.7, "a": float("nan")}}, "eps_rule"),
+    ({"eps_rule": {"c": 1e400, "a": 0.3}}, "eps_rule"),
+    ({"lambda_rule": {"regime": "consistent", "c": 0.15, "b": float("inf")}},
+     "lambda_rule"),
+    ({"lambda_rule": {"regime": "fixed", "c": float("nan")}}, "lambda_rule"),
+    ({"eps_rule": {"c": 10 ** 400, "a": 0.3}}, "eps_rule"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):
