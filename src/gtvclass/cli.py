@@ -171,6 +171,21 @@ class SweepConfig:
             "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
         if self.eps_c <= 0 or self.lam_c <= 0:
             raise ValidationError("rule constants must be positive")
+        # finite constants can still over- or underflow at some n of n_list
+        for n in self.n_list:
+            eps = self._rule_value("eps_rule", n, self.eps_of, n)
+            self._rule_value("lambda_rule", n, self.lambda_of, n, eps)
+
+    @staticmethod
+    def _rule_value(rule, n, of, *args):
+        try:
+            value = of(*args)
+        except OverflowError:
+            value = np.inf
+        if not (0 < value < np.inf):
+            raise ValidationError("%s gives %r at n = %d; it must be positive and finite"
+                                  % (rule, value, n))
+        return value
 
     def eps_of(self, n):
         return self.eps_c * n ** (-self.eps_a)

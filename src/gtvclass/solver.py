@@ -235,12 +235,21 @@ def solve_primal_dual(graph, labels, config):
     it is plain Chambolle-Pock. Only the prox outputs u~ and q~ are scored,
     each from its own fresh product, since the relaxed points may leave
     the box. The energy of u~ reuses K u~: lambda gtv(u~) = (2/sigma) |K u~|_1.
-    The lowest-energy u~ is kept, so energy_relaxed <= energy(labels). Every
-    10th iteration and at the cap, q~ bounds the minimum below by
-    sum_i min(y_i/n, a_i + (1 - y_i)/n), where a = 2 K^T q~ unscaled, an O(n)
-    read; the best bound (at first 0, that of q = 0) is kept. gap is
-    energy_relaxed minus it, and converged means gap <= tol * energy_relaxed:
-    a certified gap.
+
+    Every 10th iteration and at the cap is a check. There the thresholded
+    u^ = 1{u~ > 1/2} is scored too, with one more product K u^. By coarea
+    the relaxation has binary minimizers, so u^ often reaches the minimum
+    long before u~ does. The lowest-energy point seen, u~ or u^, is
+    returned as u, so u may be binary, and energy_relaxed <= energy(labels).
+
+    Any q in the box bounds the minimum below by
+    sum_i min(y_i/n, a_i + (1 - y_i)/n), where a = 2 K^T q unscaled, an O(n)
+    read. A check reads it at q~ and at the mean of q~ over the last 1, 2, 4
+    and 8 complete blocks of 10 iterations, from running sums of 2 K^T q~
+    (one O(n) add per iteration). Means of points in the box stay in it;
+    the relaxed q is never averaged. The best bound (at first 0, that of
+    q = 0) is kept. gap is energy_relaxed minus it, and converged means
+    gap <= tol * energy_relaxed: a certified gap.
     """
     y = _check_labels(graph, labels)
     lam = config.lambda_
@@ -263,25 +272,48 @@ def solve_primal_dual(graph, labels, config):
     # over-relaxation, which converges for any rho in (0, 2) once tau sigma L^2 < 1
     # (Condat, JOTA 2013; Chambolle and Pock, Math. Program. 2016)
     rho = 1.9
+    # the dual bound is also read at ergodic means of q~ (ibid.): over the
+    # last 1, 2, 4 and 8 complete blocks of 10 iterations
+    windows = (1, 2, 4, 8)
     tau = sigma = 1.0 / L
     K.data *= sigma   # and so KT, which shares it: 2 KT q is now 2 tau K^T q
+
+    def score(v, kv):
+        return (2.0 / sigma) * float(np.abs(kv).sum()) + float(np.abs(v - y).mean())
+
+    def bound(kv):
+        return float(np.sum(np.minimum(y / n, kv / tau + (1.0 - y) / n)))
 
     u, q = y.copy(), np.zeros(m)
     ku, kq = K @ u, np.zeros(n)   # sigma K u and 2 tau K^T q
     best_e, best_u, best_dual = e0, u.copy(), 0.0
+    # sums of kq~ over the open block and the last complete ones, oldest first
+    block, blocks = np.zeros(n), []
     it = 0
     for it in range(1, config.max_iters + 1):
         a = (u - kq) - y
         ut = np.clip(y + np.sign(a) * np.maximum(np.abs(a) - tau / n, 0.0), 0.0, 1.0)
         kut = K @ ut
-        e = (2.0 / sigma) * float(np.abs(kut).sum()) + float(np.abs(ut - y).mean())
+        e = score(ut, kut)
         if e < best_e:
             best_e, best_u = e, ut.copy()
         qt = np.clip(q + (2.0 * kut - ku), -1.0, 1.0)
         kqt = 2.0 * (KT @ qt)
+        block += kqt
+        if it % 10 == 0:
+            blocks = (blocks + [block])[-windows[-1]:]
+            block = np.zeros(n)
         if it % 10 == 0 or it == config.max_iters:
-            dual = float(np.sum(np.minimum(y / n, kqt / tau + (1.0 - y) / n)))
-            best_dual = max(best_dual, dual)
+            uh = (ut > 0.5).astype(float)
+            e = score(uh, K @ uh)
+            if e < best_e:
+                best_e, best_u = e, uh
+            best_dual = max(best_dual, bound(kqt))
+            total = 0.0
+            for k in range(1, len(blocks) + 1):
+                total = total + blocks[-k]
+                if k in windows:
+                    best_dual = max(best_dual, bound(total / (10 * k)))
             if best_e - best_dual <= config.tol * best_e:
                 break
         # over-relaxation; the K and K^T products follow by linearity

@@ -334,6 +334,11 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
      "lambda_rule"),
     ({"lambda_rule": {"regime": "fixed", "c": float("nan")}}, "lambda_rule"),
     ({"eps_rule": {"c": 10 ** 400, "a": 0.3}}, "eps_rule"),
+    # finite constants whose eps or lambda over- or underflows at n = 150
+    ({"eps_rule": {"c": 0.7, "a": -400}}, "eps_rule"),
+    ({"eps_rule": {"c": 0.7, "a": 400}}, "eps_rule"),
+    ({"lambda_rule": {"regime": "underfit", "c": 0.15, "b": 400}}, "lambda_rule"),
+    ({"lambda_rule": {"regime": "underfit", "c": 0.15, "b": -400}}, "lambda_rule"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):

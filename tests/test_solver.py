@@ -7,7 +7,7 @@ import pytest
 from gtvclass import ValidationError
 from gtvclass import graph as gr
 from gtvclass import solver as sv
-from gtvclass.groundtruth import quadrant_model, sample
+from gtvclass.groundtruth import GroundTruthModel, quadrant_model, sample
 from gtvclass.kernels import KernelProfile
 from gtvclass.solver import SolverConfig
 from test_graph import divergence
@@ -422,10 +422,11 @@ def pd_parity_instance(seed):
 
 
 @pytest.mark.parametrize("seed, max_iters, expect", [
-    # the relative gap stays above 1e-9 up to the cap; energy_binary is the
+    # the relative gap stays above 1e-9 up to the cap; energy_relaxed is
+    # that of a thresholded iterate, and it and energy_binary are the
     # min-cut energy
-    (31, 5000, (5000, False, 0.16602419552116032, 0.1660241951225808,
-                2.0902407034117942e-05)),
+    (31, 5000, (5000, False, 0.16602419512258076, 0.1660241951225808,
+                2.0902008454559695e-05)),
     # capped at 77; the best iterate is 36, and the bound is read every 10
     # iterations and at the cap
     (35, 77, (77, False, 0.18565154346664783, 0.18565154346664786,
@@ -437,7 +438,8 @@ def pd_parity_instance(seed):
 ])
 def test_primal_dual_parity_with_recorded_values(seed, max_iters, expect):
     # values recorded from the over-relaxed solver that stops on its duality
-    # gap; a change of dual storage or energy bookkeeping must keep them
+    # gap, scoring thresholded iterates and window-averaged duals too; a
+    # change of dual storage or energy bookkeeping must keep them
     g, y = pd_parity_instance(seed)
     r = sv.solve_primal_dual(g, y, SolverConfig(0.3 ** 3 * 0.2, tol=1e-9,
                                                 max_iters=max_iters))
@@ -475,15 +477,17 @@ def test_primal_dual_converged_certifies_its_gap():
 def test_primal_dual_weak_duality_against_mincut():
     # the dual bound never passes the exact minimum and the relaxed energy,
     # that of the u returned, never falls below it, capped or converged;
-    # the ties allow rounding
+    # the ties allow rounding. Caps 13 and 47 stop inside a block of 10
+    # iterations, whose partial sum must not enter the windowed bound.
     rng = np.random.Generator(np.random.Philox(37))
     cases = [random_instance(rng) for _ in range(10)]
     pts = rng.random((300, 3))
     y = ((pts[:, 0] + pts[:, 1] > 1.0) ^ (rng.random(300) < 0.15)).astype(int)
     cases.append((gr.build(pts, 0.3, KernelProfile("indicator")), y, 0.2))
+    cases.append((gr.build(pts, 0.3, KernelProfile("gaussian")), y, 0.2))
     for g, y, lam in cases:
         exact = sv.solve_mincut(g, y, lam).energy_binary
-        for max_iters in (7, 40, 3000):
+        for max_iters in (7, 13, 40, 47, 3000):
             r = sv.solve_primal_dual(g, y, SolverConfig(lam, max_iters=max_iters, tol=1e-9))
             assert r.energy_relaxed - r.gap <= exact + 1e-12 <= r.energy_relaxed + 2e-12
             assert r.energy_relaxed == pytest.approx(sv.energy(g, y, lam, r.u), rel=1e-12)
@@ -491,14 +495,40 @@ def test_primal_dual_weak_duality_against_mincut():
 
 def test_primal_dual_iterations_on_quadrant_model():
     # the README's consistent regime at n = 2000 certifies the default tol in
-    # 220 iterations (390 without over-relaxation), at the min-cut energy
+    # 70 iterations, at the min-cut energy; the bound leaves 3 checks of
+    # margin. Scoring only the relaxed iterate and the last dual it took 220,
+    # and 390 without over-relaxation.
     n = 2000
     cloud = sample(quadrant_model(), n, (0, 1))
     g = gr.build(cloud, 0.7 * n ** (-1 / 3), KernelProfile("indicator"))
     lam = 0.15 * n ** -0.25
     r = sv.solve_primal_dual(g, cloud.labels, SolverConfig(lam))
-    assert r.converged and r.iters <= 260
+    assert r.converged and r.iters <= 100
     assert r.energy_binary == sv.solve_mincut(g, cloud.labels, lam).energy_binary
+
+
+def test_primal_dual_iterations_on_cube_model():
+    # d = 3, uniform density, mu = 0.7 on x0 < 1/2 and 0.3 beyond, at
+    # eps = 0.7 n^(-1/4) and lambda = 0.15 n^(-1/4): the default tol is
+    # certified in 110 iterations, at the min-cut energy; the bound leaves 4
+    # checks of margin. Without the thresholded iterate it took 410, without
+    # the windowed dual 420, and with neither 420.
+    n, d = 2000, 3
+    model = GroundTruthModel((0,) * d, (1,) * d, [((0,) * d, (1,) * d, 1.0)],
+                             [((0,) * d, (0.5, 1, 1), 0.7), ((0.5, 0, 0), (1,) * d, 0.3)])
+    cloud = sample(model, n, (3, 1))
+    g = gr.build(cloud, 0.7 * n ** -0.25, KernelProfile("indicator"))
+    lam = 0.15 * n ** -0.25
+    r = sv.solve_primal_dual(g, cloud.labels, SolverConfig(lam))
+    assert r.converged and r.iters <= 150
+    exact = sv.solve_mincut(g, cloud.labels, lam).energy_binary
+    assert r.energy_binary == exact
+    # recorded: capped at 67, the best bound is the mean over iterations
+    # 21-60, read at 60; a window that took in a block before its tenth
+    # iteration would move it
+    r = sv.solve_primal_dual(g, cloud.labels, SolverConfig(lam, max_iters=67))
+    assert (r.iters, r.converged, r.energy_relaxed) == (67, False, exact)
+    assert r.gap == pytest.approx(2.3197097315241777e-07, rel=1e-12, abs=0.0)
 
 
 def test_huge_lambda_gives_majority_constant():
