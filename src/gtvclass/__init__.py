@@ -14,6 +14,17 @@ class ValidationError(ValueError):
     """Invalid argument or malformed input data."""
 
 
+def check_keys(obj, keys, where):
+    """obj, once it is a JSON object with no key outside keys; anything else
+    is a ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError("%s must be a JSON object" % where)
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValidationError("%s has unknown keys %s" % (where, unknown))
+    return obj
+
+
 def read_text(path):
     """The text of a UTF-8 file. Bytes that do not decode are malformed
     input: a ValidationError, not a UnicodeDecodeError."""

@@ -26,10 +26,10 @@ from time import perf_counter
 
 import numpy as np
 
-from . import ValidationError, read_text
+from . import ValidationError, check_keys, read_text
 from .graph import build, gtv, num_components
-from .groundtruth import (BUILTIN_MODELS, bayes_classify, bayes_risk,
-                          load_cloud, load_model, sample, save_cloud)
+from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
+                          sample, save_cloud)
 from .kernels import KernelProfile, surface_tension
 from .metrics import (bayes_agreement, continuum_tv_indicator, empirical_risk,
                       gamma_check, test_risk, tl1_exact, tl1_proxy_1nn,
@@ -126,12 +126,7 @@ def _json(kind):
 
 def _read(raw, kinds, where, **defaults):
     """{key: kinds[key](raw[key])}; unknown or absent keys are a ValidationError."""
-    if not isinstance(raw, dict):
-        raise ValidationError("%s must be a JSON object" % where)
-    unknown = sorted(set(raw) - set(kinds))
-    if unknown:
-        raise ValidationError("%s has unknown keys %s" % (where, unknown))
-    raw = {**defaults, **raw}
+    raw = {**defaults, **check_keys(raw, kinds, where)}
     return {key: _field(raw, key, kind, where) for key, kind in kinds.items()}
 
 
@@ -211,9 +206,7 @@ def _evaluate(cloud, u_binary, model, m, seed):
         "empirical_risk": er, "label_agreement": 1.0 - er, "test_risk": tr,
         "ci_halfwidth": ci, "excess_risk": tr - bayes_risk(model),
         "bayes_agreement": bayes_agreement(vc, model, m, (seed, 102)),
-        "tl1_proxy": tl1_proxy_1nn(
-            cloud, u_binary, model,
-            lambda x: bayes_classify(model, x).astype(float), m, (seed, 103)),
+        "tl1_proxy": tl1_proxy_1nn(vc, model, m, (seed, 103)),
     }
 
 
@@ -315,7 +308,7 @@ def _curves_svg(series, title, ylabel):
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     xlo, xhi = np.log10(min(xs_all)), np.log10(max(xs_all))
-    ylo, yhi = min(0.0, min(ys_all)), max(ys_all) * 1.05 + 1e-12
+    ylo, yhi = min(0.0, min(ys_all)), max(0.0, max(ys_all)) * 1.05 + 1e-12
     body = []
     for k, (label, xs, ys) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]

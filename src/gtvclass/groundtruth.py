@@ -10,10 +10,11 @@ belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 import io
 import json
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
-from . import ValidationError, read_text
+from . import ValidationError, check_keys, read_text
 
 
 class GroundTruthModel:
@@ -37,12 +38,13 @@ class GroundTruthModel:
         self.name = str(name)
         self._rho_lo, self._rho_hi, self._rho = self._pack_cells(density_cells, "density")
         self._mu_lo, self._mu_hi, self._mu = self._pack_cells(mu_cells, "mu")
-        if np.any(self._rho <= 0):
+        # written so that NaN fails each check
+        if not np.all(self._rho > 0):
             raise ValidationError("density must be strictly positive on every cell")
         mass = float(np.sum(self._rho * self._volumes(self._rho_lo, self._rho_hi)))
-        if abs(mass - 1.0) > 1e-12:
+        if not abs(mass - 1.0) <= 1e-12:
             raise ValidationError("density must integrate to 1, got %.17g" % mass)
-        if np.any(self._mu < 0) or np.any(self._mu > 1):
+        if not np.all((self._mu >= 0) & (self._mu <= 1)):
             raise ValidationError("mu values must lie in [0, 1]")
         if np.any(self._mu == 0.5):
             raise ValidationError("a mu cell at exactly 1/2 is rejected")
@@ -254,10 +256,12 @@ BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
 # -- persistence ------------------------------------------------------------
 
 def model_from_dict(obj):
+    cell = ("lo", "hi", "value")
     try:
-        dom = obj["domain"]
-        dens = [(c["lo"], c["hi"], c["value"]) for c in obj["density_cells"]]
-        mu = [(c["lo"], c["hi"], c["value"]) for c in obj["mu_cells"]]
+        check_keys(obj, ("name", "domain", "density_cells", "mu_cells"), "model")
+        dom = check_keys(obj["domain"], ("lo", "hi"), "domain")
+        dens, mu = ([itemgetter(*cell)(check_keys(c, cell, key)) for c in obj[key]]
+                    for key in ("density_cells", "mu_cells"))
         return GroundTruthModel(dom["lo"], dom["hi"], dens, mu,
                                 name=obj.get("name", "model"))
     except (KeyError, TypeError, ValueError) as e:

@@ -1,10 +1,11 @@
 """Risk evaluation, TL1 transport distances, and continuum comparison oracles.
 
 Covers the empirical side (misclassification rates, Voronoi/1-NN extension of
-node labelings to the whole domain, Monte-Carlo test risk with binomial CIs)
-and the transport side (exact TL1 between equal-size weighted point sets via
-an assignment solver, a 1-NN proxy usable at any scale, a bracket on the
-infinity-transport distance to a quadrature grid). The continuum oracles
+node labelings to the whole domain, and three Monte-Carlo estimators on that
+extension: test risk with a binomial CI, Bayes agreement, and a 1-NN transport
+proxy for the distance to the Bayes classifier) and the transport side (exact
+TL1 between two equal-size point sets via an assignment solver, a bracket on
+the infinity-transport distance to a quadrature grid). The continuum oracles
 (rho^2-weighted interface measure and the discrete-vs-continuum comparison
 table) give the targets the graph functional is expected to approach.
 """
@@ -21,7 +22,7 @@ from .graph import build, gtv
 from .groundtruth import bayes_classify, sample
 from .kernels import surface_tension
 
-# exact assignments are O(n^3) worst case; beyond this, use tl1_proxy_1nn
+# exact assignments are O(n^3) worst case; beyond this, tl1_exact refuses
 ASSIGNMENT_BUDGET = 4096
 
 # relative gap between the two nearest squared distances below which a
@@ -103,19 +104,23 @@ def voronoi_extend(cloud, u):
     return VoronoiClassifier(points, u)
 
 
+def _fresh(model, m, seed):
+    # the m fresh labeled samples that each Monte-Carlo estimator draws
+    if m < 100:
+        raise ValidationError("need m >= 100 fresh samples")
+    return sample(model, int(m), seed)
+
+
 def test_risk(classifier, model, m, seed):
     """Monte-Carlo risk of a classifier under the model, with a 95% CI.
 
     Draws m fresh labeled samples and returns (mean |c(x) - y|, halfwidth of
     the plug-in binomial confidence interval). Unbiased for the true risk.
     """
-    if m < 100:
-        raise ValidationError("need m >= 100 fresh samples")
-    fresh = sample(model, int(m), seed)
+    fresh = _fresh(model, m, seed)
     pred = np.asarray(classifier(fresh.points), dtype=float)
     p = float(np.mean(np.abs(pred - fresh.labels)))
-    ci = 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / m)
-    return p, float(ci)
+    return p, float(1.96 * np.sqrt(p * (1.0 - p) / m))
 
 
 def bayes_agreement(classifier, model, m, seed):
@@ -124,9 +129,7 @@ def bayes_agreement(classifier, model, m, seed):
     For binary classifiers 1 - agreement is the L1(nu) distance to the Bayes
     classifier, estimated by Monte-Carlo.
     """
-    if m < 100:
-        raise ValidationError("need m >= 100 fresh samples")
-    fresh = sample(model, int(m), seed)
+    fresh = _fresh(model, m, seed)
     pred = np.asarray(classifier(fresh.points), dtype=float)
     return float(np.mean(pred == bayes_classify(model, fresh.points)))
 
@@ -162,7 +165,7 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     fa = np.asarray(f_a, dtype=float)
     fb = np.asarray(f_b, dtype=float)
     if xa.shape[0] != xb.shape[0]:
-        raise ValidationError("equal point counts required; use tl1_proxy_1nn otherwise")
+        raise ValidationError("equal point counts required; unequal sizes are out of scope")
     if xa.shape[0] == 0:
         raise ValidationError("empty point sets")
     if xa.shape[1] != xb.shape[1]:
@@ -179,21 +182,17 @@ def tl1_exact(points_a, f_a, points_b, f_b):
                                float(disp[rows, cols].max()))
 
 
-def tl1_proxy_1nn(cloud, u, model, u_ref, m, seed):
-    """1-NN transport proxy for the TL1 distance to a continuum classifier.
+def tl1_proxy_1nn(classifier, model, m, seed):
+    """1-NN transport proxy for the TL1 distance to the Bayes classifier.
 
-    Draws m fresh samples z_k from the model, maps each to its nearest cloud
-    point T(z_k), and averages |z_k - T(z_k)| + |u(T(z_k)) - u_ref(z_k)|.
-    Upper-bound flavored, usable at any n; when every z_k lands exactly on a
-    cloud point this reduces to the plain L1 mismatch of values.
+    Draws m fresh samples z_k, maps each to its nearest cloud point T(z_k)
+    with the Voronoi classifier's own tree, and averages |z_k - T(z_k)| +
+    |u(T(z_k)) - c_B(z_k)|. Usable at any n; when every z_k lands exactly on
+    a cloud point this reduces to the plain L1 mismatch of values.
     """
-    if m < 100:
-        raise ValidationError("need m >= 100 fresh samples")
-    points = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
-    u = np.asarray(u, dtype=float)
-    fresh = sample(model, int(m), seed)
-    dist, idx = cKDTree(points).query(fresh.points, k=1)
-    vals = np.abs(u[idx] - np.asarray(u_ref(fresh.points), dtype=float))
+    fresh = _fresh(model, m, seed)
+    dist, idx = classifier._tree.query(fresh.points, k=1)
+    vals = np.abs(classifier.values[idx] - bayes_classify(model, fresh.points))
     return float(np.mean(dist + vals))
 
 

@@ -224,6 +224,12 @@ def write_bad_inputs(tmp_path):
         "no_u.json": {k: v for k, v in sol.items() if k != "u_binary"},
         "model.json": {"domain": {"lo": [0, 0], "hi": ["a", 1]},
                        "density_cells": [], "mu_cells": []},
+        "model-nan.json": {"domain": {"lo": [0], "hi": [1]},
+                           "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
+                           "mu_cells": [{"lo": [0], "hi": [1], "value": float("nan")}]},
+        "model-typo.json": {"domain": {"lo": [0], "hi": [1]}, "mu_typo": 3,
+                            "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
+                            "mu_cells": [{"lo": [0], "hi": [1], "value": 0.3}]},
         "interface.json": [[0.5, 0.0, 0.5]],
         "list.json": [write_sweep_config(tmp_path)],
     }
@@ -253,6 +259,8 @@ BAD_INPUTS = {
     "report-no-excess": ["plot", "--report", "{d}/no_excess.csv"],
     "report-bad-n": ["plot", "--report", "{d}/bad_n.csv"],
     "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
+    "model-nan-mu": ["gen", "--model", "{d}/model-nan.json", "--n", "5", "--out", "y.csv"],
+    "model-unknown-key": ["gen", "--model", "{d}/model-typo.json", "--n", "5", "--out", "y.csv"],
     "interface-bad-shape": ["gamma-check", "--interface", "{d}/interface.json",
                             "--n-list", "100"],
     "sweep-config-list": ["sweep", "--config", "{d}/list.json"],
@@ -440,6 +448,20 @@ def test_plot_single_row_report(tmp_path, capsys):
     assert run(tmp_path, "plot", "--report", str(tmp_path / "report.csv")) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["written"] and os.path.exists(rec["written"][0])
+
+
+def test_plot_negative_excess_risks_inside_frame(tmp_path, capsys):
+    (tmp_path / "report.csv").write_text(
+        "regime,n,excess_risk\nconsistent,500,-0.010\nconsistent,2000,-0.004\n")
+    assert run(tmp_path, "plot", "--report", str(tmp_path / "report.csv")) == 0
+    text = open(json.loads(capsys.readouterr().out)["written"][0]).read()
+    frame = re.search(r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)" '
+                      r'fill="none"', text)
+    x0, y0, w, h = map(float, frame.groups())
+    circles = re.findall(r'<circle cx="(\S+)" cy="(\S+)"', text)
+    assert len(circles) == 2
+    for cx, cy in circles:
+        assert x0 <= float(cx) <= x0 + w and y0 <= float(cy) <= y0 + h
 
 
 def test_plot_nothing_to_do(tmp_path):

@@ -287,6 +287,39 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(gt.bayes_classify(m2, x), gt.bayes_classify(m, x))
 
 
+def asymmetric_json():
+    return {"name": "asymmetric", "domain": {"lo": [0, 0], "hi": [1, 1]},
+            "density_cells": [{"lo": [0, 0], "hi": [1, 1], "value": 1.0}],
+            "mu_cells": [{"lo": [0, 0], "hi": [0.6, 1], "value": 0.55},
+                         {"lo": [0.6, 0], "hi": [1, 1], "value": 0.45}]}
+
+
+@pytest.mark.parametrize("case", ["nan-mu", "nan-density", "top-key", "domain-key",
+                                  "density-cell-key", "mu-cell-key"])
+def test_model_json_rejects_nan_and_unknown_keys(tmp_path, case):
+    obj = asymmetric_json()
+    edit = {"nan-mu": lambda: obj["mu_cells"][1].update(value=float("nan")),
+            "nan-density": lambda: obj["density_cells"][0].update(value=float("nan")),
+            "top-key": lambda: obj.update(mu_typo=3),
+            "domain-key": lambda: obj["domain"].update(lo_typo=[0, 0]),
+            "density-cell-key": lambda: obj["density_cells"][0].update(weight=1),
+            "mu-cell-key": lambda: obj["mu_cells"][0].update(values=0.55)}
+    edit[case]()
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(obj))   # NaN is written as the bare token NaN
+    with pytest.raises(ValidationError):
+        gt.load_model(p)
+    gt.model_from_dict(asymmetric_json())   # the unedited model loads
+
+
+def test_model_checks_reject_nan_values():
+    nan = float("nan")
+    with pytest.raises(ValidationError):
+        constant_mu_model(nan)
+    with pytest.raises(ValidationError):
+        gt.GroundTruthModel((0,), (1,), [((0,), (1,), nan)], [((0,), (1,), 0.4)])
+
+
 def test_cloud_csv_round_trip(tmp_path):
     m = gt.quadrant_model()
     c = gt.sample(m, 200, 5)

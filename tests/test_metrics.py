@@ -287,23 +287,48 @@ def test_tl1_metric_axioms():
         assert mx.tl1_exact(xa, fa, xa[perm], fa[perm]).cost <= 1e-12
 
 
+def proxy_oracle(cloud, u, model, m, seed):
+    # the proxy's formula with its own tree over the cloud
+    fresh = sample(model, m, seed)
+    dist, idx = cKDTree(cloud.points).query(fresh.points, k=1)
+    ref = bayes_classify(model, fresh.points).astype(float)
+    return float(np.mean(dist + np.abs(np.asarray(u, dtype=float)[idx] - ref)))
+
+
+def test_tl1_proxy_matches_own_tree_oracle():
+    model = quadrant_model()
+    rng = np.random.Generator(np.random.Philox(18))
+    for n in (1, 2, 7, 60, 500):
+        cloud = sample(model, n, (18, n))
+        u = (rng.random(n) < 0.5).astype(float)
+        for m, seed in ((100, (19, n)), (777, (20, n))):
+            got = mx.tl1_proxy_1nn(mx.voronoi_extend(cloud, u), model, m, seed)
+            assert got == proxy_oracle(cloud, u, model, m, seed)
+    # a duplicated point with opposite values: both trees pick the same copy
+    pts = np.vstack([cloud.points[:40], cloud.points[:1]])
+    dup = SimpleNamespace(points=pts)
+    u = np.r_[np.zeros(40), 1.0]
+    got = mx.tl1_proxy_1nn(mx.voronoi_extend(dup, u), model, 300, 21)
+    assert got == proxy_oracle(dup, u, model, 300, 21)
+
+
 def test_tl1_proxy_zero_displacement_reduction():
     model = quadrant_model()
     cloud = sample(model, 500, 19)
     rng = np.random.Generator(np.random.Philox(20))
-    u = rng.random(500)
-    ref = lambda x: bayes_classify(model, x).astype(float)
-    got = mx.tl1_proxy_1nn(cloud, u, model, ref, 500, 19)
-    assert got == pytest.approx(np.mean(np.abs(u - ref(cloud.points))), abs=1e-12)
+    u = (rng.random(500) < 0.5).astype(float)
+    # the same-seed draw is the cloud itself, so every z_k is its own T(z_k)
+    got = mx.tl1_proxy_1nn(mx.voronoi_extend(cloud, u), model, 500, 19)
+    ref = bayes_classify(model, cloud.points)
+    assert got == np.mean(np.abs(u - ref))
 
 
 def test_tl1_proxy_constants_give_mean_displacement():
-    model = quadrant_model()
+    model = uniform_square()   # mu = 1 everywhere, so the Bayes rule is 1
     cloud = sample(model, 300, 21)
     fresh = sample(model, 400, 22)
     dist, _ = cKDTree(cloud.points).query(fresh.points, k=1)
-    got = mx.tl1_proxy_1nn(cloud, np.ones(300), model,
-                           lambda x: np.ones(len(x)), 400, 22)
+    got = mx.tl1_proxy_1nn(mx.voronoi_extend(cloud, np.ones(300)), model, 400, 22)
     assert got == pytest.approx(float(np.mean(dist)), abs=1e-14)
 
 
@@ -313,11 +338,16 @@ def test_tl1_proxy_shrinks_with_n():
     for n in (100, 1000, 10000):
         cloud = sample(model, n, (33, n))
         u = bayes_classify(model, cloud.points).astype(float)
-        vals.append(mx.tl1_proxy_1nn(
-            cloud, u, model, lambda x: bayes_classify(model, x).astype(float),
-            4000, 34))
+        vals.append(mx.tl1_proxy_1nn(mx.voronoi_extend(cloud, u), model, 4000, 34))
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.05
+
+
+def test_estimators_require_m():
+    vc = mx.voronoi_extend(sample(quadrant_model(), 10, 0), np.ones(10))
+    for est in (mx.test_risk, mx.bayes_agreement, mx.tl1_proxy_1nn):
+        with pytest.raises(ValidationError):
+            est(vc, quadrant_model(), 99, 0)
 
 
 # ---------------------------------------------------------------- transport
