@@ -31,9 +31,8 @@ from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
                           sample, save_cloud)
 from .kernels import KernelProfile, surface_tension
-from .metrics import (bayes_agreement, continuum_tv_indicator, empirical_risk,
-                      gamma_check, test_risk, tl1_exact, tl1_proxy_1nn,
-                      voronoi_extend)
+from .metrics import (bayes_agreement, empirical_risk, gamma_check, test_risk,
+                      tl1_exact, tl1_proxy_1nn, voronoi_extend)
 from .solver import (MAX_ITERS, TOL, SolverConfig, certify_overfit, solve_mincut,
                      solve_primal_dual)
 
@@ -138,6 +137,18 @@ def _load_solution(path, cloud):
     return ub
 
 
+def _rule_value(rule, n, of, *args):
+    """of(*args), once it is positive and finite; an overflow counts as inf."""
+    try:
+        value = of(*args)
+    except OverflowError:
+        value = np.inf
+    if not (0 < value < np.inf):
+        raise ValidationError("%s gives %r at n = %d; it must be positive and finite"
+                              % (rule, value, n))
+    return value
+
+
 # ------------------------------------------------------------------ sweep
 
 class SweepConfig:
@@ -168,19 +179,8 @@ class SweepConfig:
             raise ValidationError("rule constants must be positive")
         # finite constants can still over- or underflow at some n of n_list
         for n in self.n_list:
-            eps = self._rule_value("eps_rule", n, self.eps_of, n)
-            self._rule_value("lambda_rule", n, self.lambda_of, n, eps)
-
-    @staticmethod
-    def _rule_value(rule, n, of, *args):
-        try:
-            value = of(*args)
-        except OverflowError:
-            value = np.inf
-        if not (0 < value < np.inf):
-            raise ValidationError("%s gives %r at n = %d; it must be positive and finite"
-                                  % (rule, value, n))
-        return value
+            eps = _rule_value("eps_rule", n, self.eps_of, n)
+            _rule_value("lambda_rule", n, self.lambda_of, n, eps)
 
     def eps_of(self, n):
         return self.eps_c * n ** (-self.eps_a)
@@ -418,18 +418,12 @@ def _cmd_sigma(args):
 
 
 def _cmd_gamma_check(args):
+    def eps_of(n):
+        return args.eps_c * n ** (-args.eps_a)
+    for n in args.n_list:
+        _rule_value("eps rule (--eps-c, --eps-a)", n, eps_of, n)
     model = _resolve_model(args.model)
-    if args.interface:
-        interface = _field({"pieces": _load_json(args.interface)}, "pieces",
-                           lambda v: np.asarray(v, dtype=float), args.interface)
-    else:
-        if model.d != 2:
-            raise ValidationError("--vertical needs a 2-d model; pass --interface")
-        lo, hi = model.lo[1], model.hi[1]
-        interface = np.array([[[args.vertical, lo], [args.vertical, hi]]])
-    profile = KernelProfile(args.kernel)
-    rows = gamma_check(model, interface, profile, args.n_list,
-                       lambda n: args.eps_c * n ** (-args.eps_a), args.seed)
+    rows = gamma_check(model, KernelProfile(args.kernel), args.n_list, eps_of, args.seed)
     _emit_json({"target": rows[0]["target"], "rows": rows}, args, args.out)
     return 0
 
@@ -547,10 +541,6 @@ def _build_parser():
                     type=lambda text: [_int_from(1)(t) for t in text.split(",")])
     sp.add_argument("--eps-c", type=float, default=1.0)
     sp.add_argument("--eps-a", type=float, default=0.25)
-    sp.add_argument("--vertical", type=float, default=0.5,
-                    help="x of a full-height interface segment (2-d models)")
-    sp.add_argument("--interface", default=None,
-                    help="JSON file with explicit interface pieces")
 
     sp = add_parser("plot", _cmd_plot, help="emit SVG plots from reports/datasets")
     sp.add_argument("--report", default=None, help="sweep report CSV")

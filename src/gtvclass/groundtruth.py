@@ -1,6 +1,7 @@
 """Synthetic ground truth on a box: piecewise-constant density rho and
 conditional mean mu over rectangular partitions, i.i.d. sampling, and the
-exactly computable Bayes quantities (risk, classifier, constant risks).
+exactly computable Bayes quantities (risk, classifier, constant risks, and
+the rho^2-weighted total variation of the Bayes classifier).
 
 Cell conventions: cells are half-open [lo, hi) along each axis except at
 the domain's upper face, which is closed, so every point of the domain
@@ -146,14 +147,14 @@ class GroundTruthModel:
         return float(v[0]) if single else v
 
     def _refined(self):
-        # intersections of the two partitions with (volume, rho, mu) per piece
+        # intersections of the two partitions: (volume, rho, mu, lo, hi) per piece
         out = []
         for i in range(self._rho_lo.shape[0]):
             for j in range(self._mu_lo.shape[0]):
                 lo = np.maximum(self._rho_lo[i], self._mu_lo[j])
                 hi = np.minimum(self._rho_hi[i], self._mu_hi[j])
                 if np.all(hi > lo):
-                    out.append((float(np.prod(hi - lo)), self._rho[i], self._mu[j]))
+                    out.append((float(np.prod(hi - lo)), self._rho[i], self._mu[j], lo, hi))
         return out
 
 
@@ -208,13 +209,40 @@ def bayes_classify(model, x):
 
 def bayes_risk(model):
     """integral of min(mu, 1-mu) rho over the domain, exact cell-wise."""
-    return sum(vol * rho * min(mu, 1.0 - mu) for vol, rho, mu in model._refined())
+    return sum(vol * rho * min(mu, 1.0 - mu) for vol, rho, mu, *_ in model._refined())
 
 
 def risk_of_constant(model, c):
     """Risk of the constant labeling c: integral of (|c-1| mu + |c| (1-mu)) rho."""
     return sum(vol * rho * (abs(c - 1.0) * mu + abs(c) * (1.0 - mu))
-               for vol, rho, mu in model._refined())
+               for vol, rho, mu, *_ in model._refined())
+
+
+def bayes_tv(model):
+    """TV_rho^2 of the Bayes classifier: the rho^2-weighted measure of its
+    interface, exact cell-wise.
+
+    Sums, over every pair of refined pieces (rho-cell meet mu-cell) on
+    opposite sides of mu = 1/2 that share a face of positive (d-1)-measure,
+    that measure times rho^2; in d = 1 a face has measure 1. Faces on the
+    domain boundary have no neighbour and add nothing. The continuum limit
+    of graph TV is stated for continuous rho, so a density jump across the
+    Bayes interface is a ValidationError.
+    """
+    _, rho, mu, lo, hi = map(np.array, zip(*model._refined()))
+    split = (mu[:, None] > 0.5) != (mu[None, :] > 0.5)
+    span = np.minimum(hi[:, None], hi[None, :]) - np.maximum(lo[:, None], lo[None, :])
+    total = 0.0
+    for j in range(model.d):
+        # pieces a, b touch across the face x_j = hi_a[j] = lo_b[j]
+        across = np.delete(span, j, axis=2)
+        face = (split & (np.abs(hi[:, None, j] - lo[None, :, j]) <= 1e-12)
+                & np.all(across > 1e-12, axis=2))
+        if np.any(face & (rho[:, None] != rho[None, :])):
+            raise ValidationError("density jumps across the Bayes interface of %s"
+                                  % model.name)
+        total += float((np.prod(across, axis=2) * rho[:, None] ** 2)[face].sum())
+    return total
 
 
 # -- built-in models --------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Risk evaluation, TL1 transport distances, and continuum comparison oracles.
+"""Risk evaluation, TL1 transport distances, and the continuum comparison.
 
 Covers the empirical side (misclassification rates, Voronoi/1-NN extension of
 node labelings to the whole domain, and three Monte-Carlo estimators on that
 extension: test risk with a binomial CI, Bayes agreement, and a 1-NN transport
 proxy for the distance to the Bayes classifier) and the transport side (exact
 TL1 between two equal-size point sets via an assignment solver, a bracket on
-the infinity-transport distance to a quadrature grid). The continuum oracles
-(rho^2-weighted interface measure and the discrete-vs-continuum comparison
-table) give the targets the graph functional is expected to approach.
+the infinity-transport distance to a quadrature grid). The discrete-vs-
+continuum comparison table sets the graph TV of the Bayes labeling against
+its continuum limit sigma_eta * TV_rho^2(u_B), which groundtruth.bayes_tv
+sums from the model's cells.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from scipy.spatial.distance import cdist
 
 from . import ValidationError
 from .graph import build, gtv
-from .groundtruth import bayes_classify, sample
+from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
 
 # exact assignments are O(n^3) worst case; beyond this, tl1_exact refuses
@@ -289,8 +290,8 @@ def concentration_diagnostic(cloud, model, eps):
     mu(x) exactly and is expected to shrink like sqrt(log n / (n eps^d)) for
     genuinely random labels.
     """
-    if not (eps > 0):
-        raise ValidationError("eps must be positive")
+    if not (0 < eps < np.inf):
+        raise ValidationError("eps must be positive and finite")
     points = np.atleast_2d(np.asarray(cloud.points, dtype=float))
     resid = model.mu_at(points) - np.asarray(cloud.labels, dtype=float)
     keys, weights, n_nodes = _tent_partition(points, model.lo, eps)
@@ -299,48 +300,17 @@ def concentration_diagnostic(cloud, model, eps):
     return float(np.abs(acc).sum() / points.shape[0])
 
 
-def continuum_tv_indicator(model, interface):
-    """Exact rho^2-weighted measure of a piecewise-flat interface.
-
-    d = 1: interface is an array of jump points, each contributing rho(x)^2.
-    d = 2: array of segments shaped (k, 2, 2), each contributing its length
-    times rho^2 at its location. d = 3: triangles shaped (k, 3, 3), area
-    weighted the same way. Every piece must lie within a single density cell
-    (pieces are attributed by the half-open cell holding their vertices);
-    split anything that crosses a cell boundary before calling.
-    """
-    arr = np.asarray(interface, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    if model.d == 1:
-        rho = np.asarray(model.rho_at(arr.reshape(-1, 1)), dtype=float)
-        return float(np.sum(rho ** 2))
-    verts = arr
-    if verts.shape[1:] != (model.d, model.d):
-        raise ValidationError("interface pieces must be shaped (k, %d, %d)"
-                              % (model.d, model.d))
-    ci = model._cell_index(model._rho_table, verts[:, 0])
-    for v in range(1, model.d):
-        cv = model._cell_index(model._rho_table, verts[:, v])
-        if np.any(cv != ci):
-            raise ValidationError("interface piece crosses a density cell; split it first")
-    if model.d == 2:
-        measure = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-    else:
-        cross = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-        measure = 0.5 * np.linalg.norm(cross, axis=1)
-    return float(np.sum(measure * model._rho[ci] ** 2))
-
-
-def gamma_check(model, interface, profile, n_list, eps_rule, seed):
+def gamma_check(model, profile, n_list, eps_rule, seed):
     """Discrete-vs-continuum comparison table for the graph functional.
 
     For each n: sample a cloud, restrict the Bayes classifier to it, and
     compare its graph total variation at eps = eps_rule(n) against the
-    continuum target sigma_eta * TV(u_B). Returns one row per n with the
-    absolute and relative errors.
+    continuum target sigma_eta * TV_rho^2(u_B), summed from the model's
+    cells by bayes_tv (a density jump across the Bayes interface is a
+    ValidationError). Returns one row per n with the absolute and relative
+    errors.
     """
-    target = surface_tension(profile, model.d) * continuum_tv_indicator(model, interface)
+    target = surface_tension(profile, model.d) * bayes_tv(model)
     rows = []
     for i, n in enumerate(n_list):
         n = int(n)

@@ -18,7 +18,7 @@ import numpy as np
 from gtvclass import metrics as mx
 from gtvclass.graph import build, gtv
 from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud,
-                                  asymmetric_model, bayes_risk,
+                                  asymmetric_model, bayes_risk, bayes_tv,
                                   halfplane_model, quadrant_model,
                                   risk_of_constant, sample)
 from gtvclass.kernels import SHAPES, KernelProfile, surface_tension
@@ -57,7 +57,6 @@ BUDGET_IDENTITIES_S = 10.0
 
 INDICATOR = KernelProfile("indicator")
 CONSISTENCY_NS = (500, 2000, 8000)
-VERTICAL_MIDLINE = np.array([[[0.5, 0.0], [0.5, 1.0]]])
 
 
 def _report(capsys, name, ok, detail):
@@ -179,11 +178,10 @@ def noisy_halfplane_model():
                             name="noisy-halfplane")
 
 
-def _interface_costs_and_gain(model, interface, lam_scale):
+def _interface_costs_and_gain(model, lam_scale):
     """Closed-form regime quantities: lambda_n * sigma_eta * TV(u_B) at each
     n of the grid, and the fidelity gain min(R(0), R(1)) - R_B."""
-    tv_bayes = float(surface_tension(INDICATOR, model.d)
-                     * mx.continuum_tv_indicator(model, interface))
+    tv_bayes = float(surface_tension(INDICATOR, model.d) * bayes_tv(model))
     costs = [lam_scale * n ** (-0.25) * tv_bayes for n in CONSISTENCY_NS]
     gain = min(risk_of_constant(model, 0.0),
                risk_of_constant(model, 1.0)) - bayes_risk(model)
@@ -229,7 +227,7 @@ def test_05_consistency_regime(capsys):
     # rejects such a model, and rules out the overfitting regime by
     # requiring that the overfit certificate fails at every cell.
     model = noisy_halfplane_model()
-    costs, gain = _interface_costs_and_gain(model, VERTICAL_MIDLINE, 1.0)
+    costs, gain = _interface_costs_and_gain(model, 1.0)
     t0 = time.perf_counter()
     med_excess, med_disagree, margins = _consistency_medians(
         model, 1.0, 1.0, SEED_CONSISTENCY, 2000)
@@ -301,8 +299,7 @@ def test_06_surface_tension_closed_forms(capsys):
 def test_07_continuum_limit_trend(capsys):
     model = halfplane_model()
     t0 = time.perf_counter()
-    rows = mx.gamma_check(model, VERTICAL_MIDLINE, INDICATOR,
-                          [1000, 4000, 16000],
+    rows = mx.gamma_check(model, INDICATOR, [1000, 4000, 16000],
                           lambda n: n ** (-0.25), SEED_GAMMA)
     elapsed = time.perf_counter() - t0
     abs_errs = [r["abs_err"] for r in rows]

@@ -230,7 +230,11 @@ def write_bad_inputs(tmp_path):
         "model-typo.json": {"domain": {"lo": [0], "hi": [1]}, "mu_typo": 3,
                             "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
                             "mu_cells": [{"lo": [0], "hi": [1], "value": 0.3}]},
-        "interface.json": [[0.5, 0.0, 0.5]],
+        "model-rho-jump.json": {"domain": {"lo": [0], "hi": [1]},
+                                "density_cells": [{"lo": [0], "hi": [0.5], "value": 0.8},
+                                                  {"lo": [0.5], "hi": [1], "value": 1.2}],
+                                "mu_cells": [{"lo": [0], "hi": [0.5], "value": 0.3},
+                                             {"lo": [0.5], "hi": [1], "value": 0.7}]},
         "list.json": [write_sweep_config(tmp_path)],
     }
     for name, obj in files.items():
@@ -261,8 +265,12 @@ BAD_INPUTS = {
     "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
     "model-nan-mu": ["gen", "--model", "{d}/model-nan.json", "--n", "5", "--out", "y.csv"],
     "model-unknown-key": ["gen", "--model", "{d}/model-typo.json", "--n", "5", "--out", "y.csv"],
-    "interface-bad-shape": ["gamma-check", "--interface", "{d}/interface.json",
-                            "--n-list", "100"],
+    "gamma-interface-flag": ["gamma-check", "--interface", "{d}/s.json", "--n-list", "100"],
+    "gamma-vertical-flag": ["gamma-check", "--vertical", "0.5", "--n-list", "100"],
+    "gamma-model-rho-jump": ["gamma-check", "--model", "{d}/model-rho-jump.json",
+                             "--n-list", "100"],
+    "gamma-eps-overflow": ["gamma-check", "--n-list", "100", "--eps-a", "-400"],
+    "gamma-eps-negative": ["gamma-check", "--n-list", "100,200", "--eps-c", "-1"],
     "sweep-config-list": ["sweep", "--config", "{d}/list.json"],
     "plot-solution-no-data": ["plot", "--report", "{d}/report.csv", "--solution", "{d}/s.json"],
     "solve-kernel-scale": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
@@ -415,6 +423,30 @@ def test_gamma_check_subcommand(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["target"] == pytest.approx(4 / 3)
     assert [r["n"] for r in rec["rows"]] == [300, 900]
+
+
+def test_gamma_check_quadrant_target(tmp_path, capsys):
+    # u_B's interface is the cross of length 2: sigma_eta * 2 = 8/3, not
+    # the 4/3 of a single midline
+    assert run(tmp_path, "gamma-check", "--model", "builtin:quadrant",
+               "--n-list", "300") == 0
+    assert json.loads(capsys.readouterr().out)["target"] == pytest.approx(8 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, target", [(1, 1.0), (3, np.pi / 2)])
+def test_gamma_check_json_model_any_dimension(tmp_path, capsys, d, target):
+    # mu flips at x0 = 1/2 of the unit cube: TV(u_B) = 1 and sigma_eta is
+    # 1 in d = 1 and pi/2 in d = 3 for the indicator kernel
+    def cell(lo, hi, value):
+        return {"lo": lo, "hi": hi, "value": value}
+    ones, zeros, mid = [1.0] * d, [0.0] * d, [0.5] + [1.0] * (d - 1)
+    model = {"domain": {"lo": zeros, "hi": ones},
+             "density_cells": [cell(zeros, ones, 1.0)],
+             "mu_cells": [cell(zeros, mid, 0.7), cell([0.5] + zeros[1:], ones, 0.3)]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run(tmp_path, "gamma-check", "--model", str(path), "--n-list", "300") == 0
+    assert json.loads(capsys.readouterr().out)["target"] == pytest.approx(target, rel=1e-9)
 
 
 def test_plot_outputs_and_regime_filter(tmp_path, capsys):

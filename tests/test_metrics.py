@@ -13,9 +13,11 @@ from scipy.spatial.distance import cdist
 
 from gtvclass import ValidationError
 from gtvclass import metrics as mx
-from gtvclass.groundtruth import (GroundTruthModel, bayes_classify, bayes_risk,
-                                  quadrant_model, halfplane_model, sample)
+from gtvclass import groundtruth as gt
+from gtvclass.groundtruth import (GroundTruthModel, asymmetric_model, bayes_classify,
+                                  bayes_risk, halfplane_model, quadrant_model, sample)
 from gtvclass.kernels import KernelProfile, surface_tension
+from test_acceptance import noisy_halfplane_model
 
 
 def uniform_square():
@@ -491,60 +493,145 @@ def test_concentration_requires_positive_eps():
         mx.concentration_diagnostic(sample(model, 100, 1), model, 0.0)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan, -1.0])
+def test_concentration_requires_finite_eps(eps):
+    model = quadrant_model()
+    with pytest.raises(ValidationError, match="eps must be positive and finite"):
+        mx.concentration_diagnostic(sample(model, 200, 1), model, eps)
+
+
 # ---------------------------------------------------------------- continuum TV
+
+def interface_measure(model, interface):
+    """Reference rho^2-weighted measure of a hand-written flat interface.
+
+    d = 1: an array of jump points, each contributing rho(x)^2. d = 2:
+    segments shaped (k, 2, 2), each contributing its length times rho^2
+    there. d = 3: triangles shaped (k, 3, 3), area weighted the same way.
+    Every piece must lie within one density cell.
+    """
+    arr = np.asarray(interface, dtype=float)
+    if arr.size == 0:
+        return 0.0
+    if model.d == 1:
+        return float(np.sum(model.rho_at(arr.reshape(-1, 1)) ** 2))
+    assert arr.shape[1:] == (model.d, model.d)
+    rho = [model.rho_at(arr[:, v]) for v in range(model.d)]
+    assert all(np.array_equal(r, rho[0]) for r in rho)
+    if model.d == 2:
+        measure = np.linalg.norm(arr[:, 1] - arr[:, 0], axis=1)
+    else:
+        measure = 0.5 * np.linalg.norm(
+            np.cross(arr[:, 1] - arr[:, 0], arr[:, 2] - arr[:, 0]), axis=1)
+    return float(np.sum(measure * rho[0] ** 2))
+
 
 def vertical_segment(x, y0=0.0, y1=1.0):
     return np.array([[[x, y0], [x, y1]]])
 
 
+def halves_model(d, rho_cells=None, name="halves"):
+    """mu = 0.2 on {x0 < 1/2} and 0.8 on the rest of the unit cube."""
+    lo, hi, mid = (0,) * d, (1,) * d, (0.5,) + (1,) * (d - 1)
+    return GroundTruthModel(lo, hi, rho_cells or [(lo, hi, 1.0)],
+                            [(lo, mid, 0.2), ((0.5,) + (0,) * (d - 1), hi, 0.8)],
+                            name=name)
+
+
 def test_continuum_tv_unit_square():
-    assert mx.continuum_tv_indicator(uniform_square(),
-                                     vertical_segment(0.5)) == pytest.approx(1.0)
+    assert gt.bayes_tv(halves_model(2)) == pytest.approx(1.0)
 
 
 def test_continuum_tv_rho_squared_weight():
-    model = GroundTruthModel(
-        (0, 0), (1, 1),
-        [((0, 0), (0.4, 1), 0.75), ((0.4, 0), (0.6, 1), 2.0),
-         ((0.6, 0), (1, 1), 0.75)],
-        [((0, 0), (1, 1), 1.0)], name="slab")
-    assert mx.continuum_tv_indicator(model,
-                                     vertical_segment(0.5)) == pytest.approx(4.0)
+    model = halves_model(2, [((0, 0), (0.4, 1), 0.75), ((0.4, 0), (0.6, 1), 2.0),
+                             ((0.6, 0), (1, 1), 0.75)], name="slab")
+    assert gt.bayes_tv(model) == pytest.approx(4.0)
 
 
 def test_continuum_tv_empty_interface():
-    assert mx.continuum_tv_indicator(uniform_square(), np.empty((0, 2, 2))) == 0.0
+    assert gt.bayes_tv(uniform_square()) == 0.0
 
 
 def test_continuum_tv_rejects_cell_crossing():
-    model = GroundTruthModel(
-        (0, 0), (1, 1),
-        [((0, 0), (0.5, 1), 1.2), ((0.5, 0), (1, 1), 0.8)],
-        [((0, 0), (1, 1), 1.0)], name="split")
-    with pytest.raises(ValidationError):
-        mx.continuum_tv_indicator(model, np.array([[[0.2, 0.5], [0.8, 0.5]]]))
+    # the density jumps where u_B does, on part of the interface only
+    for rho_cells in ([((0, 0), (0.5, 1), 1.2), ((0.5, 0), (1, 1), 0.8)],
+                      [((0, 0), (0.5, 0.5), 1.2), ((0.5, 0), (1, 0.5), 0.8),
+                       ((0, 0.5), (1, 1), 1.0)]):
+        with pytest.raises(ValidationError, match="density jumps"):
+            gt.bayes_tv(halves_model(2, rho_cells, name="split"))
 
 
 def test_continuum_tv_d1_jumps():
     model = GroundTruthModel((0,), (2,),
                              [((0,), (1,), 0.4), ((1,), (2,), 0.6)],
-                             [((0,), (2,), 1.0)], name="line")
-    got = mx.continuum_tv_indicator(model, np.array([0.5, 1.5]))
-    assert got == pytest.approx(0.4 ** 2 + 0.6 ** 2)
+                             [((0,), (0.5,), 0.3), ((0.5,), (1.5,), 0.7),
+                              ((1.5,), (2,), 0.1)], name="line")
+    assert gt.bayes_tv(model) == pytest.approx(0.4 ** 2 + 0.6 ** 2)
+    assert gt.bayes_tv(model) == pytest.approx(interface_measure(model, [0.5, 1.5]))
 
 
 def test_continuum_tv_d3_triangle():
-    model = GroundTruthModel((0, 0, 0), (1, 1, 1),
-                             [((0, 0, 0), (1, 1, 1), 1.0)],
-                             [((0, 0, 0), (1, 1, 1), 1.0)], name="cube")
-    tri = np.array([[[0, 0, 0.5], [1, 0, 0.5], [0, 1, 0.5]]], dtype=float)
-    assert mx.continuum_tv_indicator(model, tri) == pytest.approx(0.5)
+    square = np.array([[[0.5, 0, 0], [0.5, 1, 0], [0.5, 0, 1]],
+                       [[0.5, 1, 1], [0.5, 1, 0], [0.5, 0, 1]]], dtype=float)
+    model = halves_model(3, name="cube3")
+    assert gt.bayes_tv(model) == pytest.approx(0.5 + 0.5)
+    assert gt.bayes_tv(model) == pytest.approx(interface_measure(model, square))
 
 
-def test_continuum_tv_wrong_vertex_count():
-    model = uniform_square()
-    with pytest.raises(ValidationError):
-        mx.continuum_tv_indicator(model, np.zeros((1, 3, 2)))
+@pytest.mark.parametrize("model, interface", [
+    (quadrant_model(), [[[0.5, 0], [0.5, 1]], [[0, 0.5], [1, 0.5]]]),
+    (asymmetric_model(), [[[0.6, 0], [0.6, 1]]]),
+    (halfplane_model(), vertical_segment(0.5)),
+    (noisy_halfplane_model(), vertical_segment(0.5)),
+], ids=["quadrant", "asymmetric", "halfplane", "noisy-halfplane"])
+def test_bayes_tv_matches_segment_oracle(model, interface):
+    assert gt.bayes_tv(model) == pytest.approx(interface_measure(model, interface),
+                                               rel=1e-12)
+
+
+@st.composite
+def lattice_partition(draw, lo, hi, depth):
+    """Boxes (lo, hi) in integer lattice units, cut in two along lattice
+    lines recursively."""
+    j = draw(st.integers(0, 1))
+    if depth == 0 or hi[j] - lo[j] < 2 or draw(st.integers(0, 3)) == 0:
+        return [(lo, hi)]
+    cut = draw(st.integers(lo[j] + 1, hi[j] - 1))
+    left_hi = hi[:j] + (cut,) + hi[j + 1:]
+    right_lo = lo[:j] + (cut,) + lo[j + 1:]
+    return (draw(lattice_partition(lo, left_hi, depth - 1))
+            + draw(lattice_partition(right_lo, hi, depth - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(2, 9))
+def test_bayes_tv_matches_lattice_count(data, k):
+    # every face lies on a line of the k x k lattice, so summing 1/k * rho^2
+    # over opposite-class neighbouring lattice cells is exact
+    dens = data.draw(lattice_partition((0, 0), (k, k), 2))
+    w = [data.draw(st.sampled_from((1.0, 2.0))) for _ in dens]
+    mass = sum(wi * (h[0] - l[0]) * (h[1] - l[1]) / k ** 2 for wi, (l, h) in zip(w, dens))
+    mu = data.draw(lattice_partition((0, 0), (k, k), 4))
+    model = GroundTruthModel(
+        (0, 0), (1, 1),
+        [(np.divide(l, k), np.divide(h, k), wi / mass) for wi, (l, h) in zip(w, dens)],
+        # classes alternate in cut order unless a drawn flip says otherwise
+        [(np.divide(l, k), np.divide(h, k), (0.2, 0.7)[(i + data.draw(st.booleans())) % 2])
+         for i, (l, h) in enumerate(mu)])
+    centers = (np.arange(k) + 0.5) / k
+    grid = np.stack(np.meshgrid(centers, centers, indexing="ij"), axis=-1).reshape(-1, 2)
+    cls = bayes_classify(model, grid).reshape(k, k)
+    rho = model.rho_at(grid).reshape(k, k)
+    count, jump = 0.0, False
+    for c, r in ((cls, rho), (cls.T, rho.T)):
+        face = c[:-1] != c[1:]
+        jump |= bool(np.any(face & (r[:-1] != r[1:])))
+        count += float(np.sum(r[:-1][face] ** 2)) / k
+    if jump:
+        with pytest.raises(ValidationError):
+            gt.bayes_tv(model)
+    else:
+        assert gt.bayes_tv(model) == pytest.approx(count, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------- gamma check
@@ -552,7 +639,7 @@ def test_continuum_tv_wrong_vertex_count():
 def test_gamma_check_constant_bayes_classifier():
     model = GroundTruthModel((0, 0), (1, 1), [((0, 0), (1, 1), 1.0)],
                              [((0, 0), (1, 1), 0.9)], name="const")
-    rows = mx.gamma_check(model, np.empty((0, 2, 2)), KernelProfile("indicator"),
+    rows = mx.gamma_check(model, KernelProfile("indicator"),
                           [200, 400], lambda n: n ** -0.25, 71)
     for r in rows:
         assert r["gtv"] == 0.0 and r["target"] == 0.0 and r["rel_err"] == 0.0
@@ -560,7 +647,7 @@ def test_gamma_check_constant_bayes_classifier():
 
 def test_gamma_check_error_shrinks():
     model = halfplane_model()
-    rows = mx.gamma_check(model, vertical_segment(0.5), KernelProfile("indicator"),
+    rows = mx.gamma_check(model, KernelProfile("indicator"),
                           [400, 1600, 6400], lambda n: n ** -0.25, 73)
     assert rows[0]["target"] == pytest.approx(4 / 3)
     errs = [r["abs_err"] for r in rows]
