@@ -5,7 +5,7 @@ Modules:
     groundtruth  piecewise-constant data distributions, sampling, Bayes quantities
     graph        eps-neighborhood graphs, graph TV, connected components
     solver       exact (min-cut) and relaxed (primal-dual) minimizers, certificate
-    metrics      risks, TL1 distances, transport bracket, concentration diagnostic
+    metrics      risks, TL1 distances, infinity-transport distance, concentration diagnostic
     cli          command line driver for datasets, solves, and regime sweeps
 """
 

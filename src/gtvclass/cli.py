@@ -472,6 +472,8 @@ def _cmd_plot(args):
 def _cmd_risk(args):
     cloud = load_cloud(args.data)
     model = _resolve_model(args.model)
+    if cloud.d != model.d:
+        raise ValidationError("dataset has d = %d, model has d = %d" % (cloud.d, model.d))
     ub = _load_solution(args.solution, cloud)
     _emit_json({"n": cloud.n, "test_m": args.test_m, "bayes_risk": bayes_risk(model),
                 **_evaluate(cloud, ub, model, args.test_m, args.seed)},

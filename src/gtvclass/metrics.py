@@ -4,17 +4,21 @@ Covers the empirical side (misclassification rates, Voronoi/1-NN extension of
 node labelings to the whole domain, and three Monte-Carlo estimators on that
 extension: test risk with a binomial CI, Bayes agreement, and a 1-NN transport
 proxy for the distance to the Bayes classifier) and the transport side (exact
-TL1 between two equal-size point sets via an assignment solver, a bracket on
-the infinity-transport distance to a quadrature grid). The discrete-vs-
+TL1 between two equal-size point sets via an assignment solver, the
+infinity-transport distance to a quadrature grid, exact by a threshold
+max-flow search up to ASSIGNMENT_BUDGET points). The discrete-vs-
 continuum comparison table sets the graph TV of the Bayes labeling against
 its continuum limit sigma_eta * TV_rho^2(u_B), which groundtruth.bayes_tv
 sums from the model's cells.
 """
 
 import itertools
+from bisect import bisect_left
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -23,7 +27,9 @@ from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
 
-# exact assignments are O(n^3) worst case; beyond this, tl1_exact refuses
+# the largest n at which tl1_exact solves its O(n^3) assignment and
+# transport_bracket runs its threshold max-flow search; beyond it, tl1_exact
+# refuses and transport_bracket's upper end is the domain's diameter
 ASSIGNMENT_BUDGET = 4096
 
 # relative gap between the two nearest squared distances below which a
@@ -233,10 +239,12 @@ def transport_bracket(cloud, model):
     lower is the larger of the two directed nearest-neighbour maxima, grid to
     cloud and cloud to grid: every bijection moves each point at least to its
     nearest point on the other side. It takes two k-d tree queries at any n.
-    upper is the largest step of one bijection, the assignment minimizing
-    the sum of (D / max D)^16 over the distance matrix D, so that its long
-    steps dominate the cost. Above ASSIGNMENT_BUDGET points upper is the
-    domain's diameter, valid for a cloud inside the domain.
+    Up to ASSIGNMENT_BUDGET points both ends are the exact bottleneck value
+    (Gabow and Tarjan, J. Algorithms 1988): the smallest grid-cloud distance
+    t whose pairs within t hold a perfect matching, decided by a unit-capacity
+    max-flow. t grows from lower by 1.25x until feasible, then bisects over
+    the distinct pair distances. Above the budget upper is the domain's
+    diameter. The cloud must lie in the model's domain.
 
     The grid only approximates the model's measure nu, so grid-to-cloud
     distances bound d_inf(nu, nu_n) only up to the grid's own distance to nu.
@@ -245,24 +253,43 @@ def transport_bracket(cloud, model):
     n = points.shape[0]
     if n == 0:
         raise ValidationError("empty cloud")
+    if points.shape[1] != model.d:
+        raise ValidationError("cloud has d = %d, model has d = %d"
+                              % (points.shape[1], model.d))
+    model.rho_at(points)  # a ValidationError for points outside the domain
     grid = quadrature_points(model, n)
-    to_cloud, _ = cKDTree(points).query(grid)
-    to_grid, _ = cKDTree(grid).query(points)
+    gtree, ctree = cKDTree(grid), cKDTree(points)
+    to_cloud, _ = ctree.query(grid)
+    to_grid, _ = gtree.query(points)
     lower = float(max(to_cloud.max(), to_grid.max()))
     if n > ASSIGNMENT_BUDGET:
         return lower, float(np.linalg.norm(model.hi - model.lo))
-    disp = cdist(grid, points)
-    rows, cols = linear_sum_assignment((disp / (disp.max() or 1.0)) ** 16)
-    return lower, float(disp[rows, cols].max())
+
+    def perfect(p):
+        # nodes: grid i, cloud n + j, source 2n, sink 2n + 1; flow n iff perfect
+        src = np.concatenate([np.full(n, 2 * n), p["i"], n + np.arange(n)])
+        dst = np.concatenate([np.arange(n), n + p["j"], np.full(n, 2 * n + 1)])
+        net = csr_matrix((np.ones(src.size, dtype=np.int32), (src, dst)),
+                         shape=(2 * n + 2,) * 2)
+        return maximum_flow(net, 2 * n, 2 * n + 1).flow_value == n
+
+    t = lower
+    while not perfect(pairs := gtree.sparse_distance_matrix(
+            ctree, t, output_type="ndarray")):
+        t *= 1.25
+    ts = np.unique(pairs["v"][pairs["v"] >= lower])
+    exact = float(ts[bisect_left(ts, True, key=lambda s: perfect(pairs[pairs["v"] <= s]))])
+    return exact, exact
 
 
 def _tent_partition(points, lo, eps):
     """Tent partition of unity on the eps/2 grid, evaluated at the points.
 
-    Returns (keys, weights, n_nodes): for each point, the flat indices of the
-    2^d grid nodes whose tents touch it and the tent values there. Tents are
-    products of 1-D hats of half-width eps/2, so each point's weights sum to
-    1 and the slopes scale like 1/eps.
+    Returns (keys, weights, n_nodes): for each point, the indices of the 2^d
+    grid nodes whose tents touch it and the tent values there. Only occupied
+    nodes are numbered, so n_nodes <= 2^d n at any eps. Tents are products
+    of 1-D hats of half-width eps/2, so each point's weights sum to 1 and the
+    slopes scale like 1/eps.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
@@ -270,16 +297,13 @@ def _tent_partition(points, lo, eps):
     rel = (points - lo) / h
     base = np.floor(rel).astype(np.int64)
     frac = rel - base
-    # one node past the farthest occupied cell on each axis
-    dims = base.max(axis=0) + 2
-    strides = np.concatenate([np.cumprod(dims[::-1])[-2::-1], [1]])
-    keys = np.empty((n, 2 ** d), dtype=np.int64)
+    offs = (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
     weights = np.empty((n, 2 ** d))
     for c in range(2 ** d):
-        offs = np.array([(c >> (d - 1 - j)) & 1 for j in range(d)], dtype=np.int64)
-        weights[:, c] = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
-        keys[:, c] = ((base + offs) * strides).sum(axis=1)
-    return keys, weights, int(np.prod(dims))
+        weights[:, c] = np.prod(np.where(offs[c] == 1, frac, 1.0 - frac), axis=1)
+    nodes, keys = np.unique((base[:, None, :] + offs).reshape(-1, d), axis=0,
+                            return_inverse=True)
+    return keys.reshape(n, 2 ** d), weights, nodes.shape[0]
 
 
 def concentration_diagnostic(cloud, model, eps):

@@ -242,6 +242,11 @@ def write_bad_inputs(tmp_path):
     (tmp_path / "no_excess.csv").write_text("regime,n,eps\noverfit,100,0.1\n")
     (tmp_path / "bad_n.csv").write_text("regime,n,excess_risk\noverfit,abc,0.1\n")
     (tmp_path / "report.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
+    (tmp_path / "d3.csv").write_text("x0,x1,x2,y\n" + "".join(
+        "%.3f,%.3f,%.3f,%d\n" % (i / 50, (i * 7 % 50) / 50, (i * 13 % 50) / 50, i % 2)
+        for i in range(50)))
+    run(tmp_path, "solve", "--data", str(tmp_path / "d3.csv"), "--eps", "0.3",
+        "--lambda", "0.01", "--out", "s3.json")
     for name, row in (("nan", "nan,0.25,1"), ("inf", "0.5,inf,1"),
                       ("extra-field", "0.5,0.25,1,junk")):
         (tmp_path / ("data-%s.csv" % name)).write_text("x0,x1,y\n0.1,0.2,0\n%s\n" % row)
@@ -256,6 +261,8 @@ BAD_INPUTS = {
     "gamma-negative-seed": ["--seed", "-1", "gamma-check", "--n-list", "100"],
     "threads-zero": ["--threads", "0", "sweep", "--config", "{d}/sweep.json"],
     "threads-negative": ["sweep", "--threads", "-1", "--config", "{d}/sweep.json"],
+    "risk-dimension-mismatch": ["risk", "--data", "{d}/d3.csv", "--model", "builtin:quadrant",
+                                "--solution", "{d}/s3.json"],
     "risk-no-u-binary": ["risk", "--data", "{d}/d.csv", "--model", "builtin:quadrant",
                          "--solution", "{d}/no_u.json"],
     "plot-no-u-binary": ["plot", "--data", "{d}/d.csv", "--solution", "{d}/no_u.json"],

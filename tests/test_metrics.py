@@ -409,7 +409,7 @@ def test_transport_bracket_holds_exact_bottleneck():
         cloud = sample(model, n, (71, k))
         lower, upper = mx.transport_bracket(cloud, model)
         exact = bottleneck_oracle(mx.quadrature_points(model, n), cloud.points)
-        assert lower <= exact <= upper, (model.name, n, lower, exact, upper)
+        assert lower == exact == upper, (model.name, n, lower, exact, upper)
 
 
 def test_transport_self_match_is_zero():
@@ -433,9 +433,35 @@ def test_transport_over_budget_upper_is_diameter(monkeypatch):
     for n in (100, 101):
         cloud = sample(model, n, (57, n))
         lower, upper = mx.transport_bracket(cloud, model)
-        disp = cdist(mx.quadrature_points(model, n), cloud.points)
-        assert lower == max(disp.min(axis=0).max(), disp.min(axis=1).max())
-        assert (upper < np.sqrt(2.0)) if n == 100 else (upper == np.sqrt(2.0))
+        grid = mx.quadrature_points(model, n)
+        if n == 100:
+            assert lower == bottleneck_oracle(grid, cloud.points) == upper
+        else:
+            disp = cdist(grid, cloud.points)
+            assert lower == max(disp.min(axis=0).max(), disp.min(axis=1).max())
+            assert upper == np.sqrt(2.0)
+
+
+def test_transport_identical_points_at_a_corner():
+    # every grid point must travel to the corner, so the farthest one sets d_inf
+    model = uniform_square()
+    lower, upper = mx.transport_bracket(np.zeros((50, 2)), model)
+    expect = np.linalg.norm(mx.quadrature_points(model, 50), axis=1).max()
+    assert lower == upper == pytest.approx(expect, rel=1e-15)
+
+
+def test_transport_rejects_a_cloud_of_another_dimension():
+    with pytest.raises(ValidationError, match="d = 3"):
+        mx.transport_bracket(sample(uniform_box(3), 50, 58), uniform_square())
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_transport_rejects_a_cloud_outside_the_domain(monkeypatch, n):
+    # the diameter bounds d_inf only for a cloud inside the domain
+    monkeypatch.setattr(mx, "ASSIGNMENT_BUDGET", 100)
+    cloud = sample(uniform_square(), n, (57, n)).points + 5.0
+    with pytest.raises(ValidationError, match="outside the domain"):
+        mx.transport_bracket(cloud, uniform_square())
 
 
 def test_transport_sup_decay_trend():
@@ -477,6 +503,19 @@ def test_concentration_partition_of_unity():
         assert np.all(weights >= 0)
         assert np.all(keys >= 0) and np.all(keys < n_nodes)
         assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-10
+
+
+@pytest.mark.parametrize("d, eps", [(2, 1e-5), (3, 1e-7)])
+def test_concentration_nodes_scale_with_the_cloud(d, eps):
+    # at these eps no two of the points share a tent, so nothing cancels
+    box = ((0,) * d, (1,) * d)
+    model = GroundTruthModel(*box, [box + (1.0,)], [box + (0.3,)], name="noisy%d" % d)
+    cloud = sample(model, 200, (64, d))
+    keys, _, n_nodes = mx._tent_partition(cloud.points, model.lo, eps)
+    assert 0 < n_nodes <= 2 ** d * 200
+    assert np.unique(keys).size == keys.size
+    expect = np.mean(np.abs(model.mu_at(cloud.points) - cloud.labels))
+    assert mx.concentration_diagnostic(cloud, model, eps) == pytest.approx(expect, rel=1e-12)
 
 
 def test_concentration_decreases_with_n():

@@ -11,7 +11,7 @@ USERS = PACKAGE + sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "tes
 
 # public but not yet reached; each entry names the ROADMAP item that wires it in
 ALLOWED = {
-    "transport_bracket",   # ROADMAP item 5: eps / d_lower in the sweep sidecar
+    "transport_bracket",   # ROADMAP item 5: eps / d_inf in the sweep sidecar
 }
 
 
