@@ -439,7 +439,8 @@ def _cmd_plot(args):
         groups = {}   # regime -> n -> excess risks
         for r in raw:
             tag, n, e = (_field(r, key, kind, args.report) for key, kind in
-                         (("regime", str), ("n", int), ("excess_risk", float)))
+                         (("regime", str), ("n", _int_from(1)),
+                          ("excess_risk", lambda text: _json(float)(float(text)))))
             groups.setdefault(tag, {}).setdefault(n, []).append(e)
         if args.regime is not None:
             if args.regime not in groups:

@@ -1,18 +1,18 @@
 """Risk evaluation, TL1 transport distances, and the continuum comparison.
 
 Covers the empirical side (misclassification rates, Voronoi/1-NN extension of
-node labelings to the whole domain, and three Monte-Carlo estimators on that
-extension: test risk with a binomial CI, Bayes agreement, and a 1-NN transport
-proxy for the distance to the Bayes classifier) and the transport side (exact
-TL1 between two equal-size point sets via an assignment solver, the
-infinity-transport distance to a quadrature grid, exact by a threshold
-max-flow search up to ASSIGNMENT_BUDGET points). The discrete-vs-
-continuum comparison table sets the graph TV of the Bayes labeling against
-its continuum limit sigma_eta * TV_rho^2(u_B), which groundtruth.bayes_tv
-sums from the model's cells.
+node labelings to the whole domain by one k = 1 k-d tree query, and three
+Monte-Carlo estimators on that extension: test risk with a binomial CI, Bayes
+agreement, and a 1-NN transport proxy for the distance to the Bayes
+classifier that maps each draw to the point the extension picks) and the
+transport side (exact TL1 between two equal-size point sets via an
+assignment solver, the infinity-transport distance to a quadrature grid,
+exact by a threshold max-flow search up to ASSIGNMENT_BUDGET points). The
+discrete-vs-continuum comparison table sets the graph TV of the Bayes
+labeling against its continuum limit sigma_eta * TV_rho^2(u_B), which
+groundtruth.bayes_tv sums from the model's cells.
 """
 
-import itertools
 from bisect import bisect_left
 
 import numpy as np
@@ -32,11 +32,6 @@ from .kernels import surface_tension
 # refuses and transport_bracket's upper end is the domain's diameter
 ASSIGNMENT_BUDGET = 4096
 
-# relative gap between the two nearest squared distances below which a
-# Voronoi query re-checks every point in the ball; far above the rounding
-# difference between k-d tree and recomputed distances
-TIE_MARGIN = 1e-9
-
 
 def empirical_risk(u, labels):
     """Mean |u_i - y_i|; for binary u this is the fraction of disagreements."""
@@ -50,19 +45,10 @@ def empirical_risk(u, labels):
 class VoronoiClassifier:
     """1-NN extension of binary node values to the whole domain.
 
-    Prediction at x is the value at the nearest reference point by the
-    recomputed squared distance ((x - p) ** 2).sum(); exact ties go to the
-    lowest point index, for any number of equidistant points. Querying a
-    reference point returns that point's own value whenever it is the unique
-    nearest.
-
-    The k-d tree gives the two nearest points. When the larger of their
-    recomputed squared distances exceeds the smaller by more than the
-    relative TIE_MARGIN, the nearer one is the unique nearest point: every
-    other point is at least as far as the second in tree distance, and tree
-    and recomputed distances differ only by rounding. The remaining rows
-    collect every point within the second distance (widened by the margin)
-    in one ball query and take the lowest index among the exact minima.
+    The prediction at x is the value of an exact nearest reference point,
+    found by one k = 1 k-d tree query. Among exact ties, which have measure
+    zero for sampled points, it is the point the tree returns, which is
+    deterministic for a given listing of the cloud.
     """
 
     def __init__(self, points, values):
@@ -78,32 +64,13 @@ class VoronoiClassifier:
         self.values = values
         self._tree = cKDTree(points)
 
-    def __call__(self, x):
-        single = np.asarray(x).ndim == 1
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = min(2, self.points.shape[0])
-        _, nb = self._tree.query(x, k=k)
-        nb = nb.reshape(x.shape[0], k)
-        d2 = ((x[:, None, :] - self.points[nb]) ** 2).sum(axis=2)
-        pick = nb[np.arange(x.shape[0]), d2.argmin(axis=1)]
-        if k == 2:
-            far = d2.max(axis=1)
-            near = np.flatnonzero(far <= d2.min(axis=1) * (1.0 + TIE_MARGIN))
-            pick[near] = self._lowest_nearest(
-                x[near], np.sqrt(far[near]) * (1.0 + TIE_MARGIN))
-        out = self.values[pick]
-        return float(out[0]) if single else out
+    def nearest(self, x):
+        """(distance, index) of the nearest reference point to each row of x."""
+        return self._tree.query(x, k=1)
 
-    def _lowest_nearest(self, x, radius):
-        # every exact nearest point of x[i] lies within radius[i]
-        balls = self._tree.query_ball_point(x, radius)
-        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-        rows = np.repeat(np.arange(len(balls)), counts)
-        idx = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
-                          count=int(counts.sum()))
-        d2 = ((x[rows] - self.points[idx]) ** 2).sum(axis=1)
-        order = np.lexsort((idx, d2, rows))
-        return idx[order[np.cumsum(counts) - counts]]
+    def __call__(self, x):
+        out = self.values[self.nearest(x)[1]]
+        return float(out) if np.ndim(x) == 1 else out
 
 
 def voronoi_extend(cloud, u):
@@ -193,12 +160,13 @@ def tl1_proxy_1nn(classifier, model, m, seed):
     """1-NN transport proxy for the TL1 distance to the Bayes classifier.
 
     Draws m fresh samples z_k, maps each to its nearest cloud point T(z_k)
-    with the Voronoi classifier's own tree, and averages |z_k - T(z_k)| +
-    |u(T(z_k)) - c_B(z_k)|. Usable at any n; when every z_k lands exactly on
-    a cloud point this reduces to the plain L1 mismatch of values.
+    by the classifier's own nearest(), so T(z_k) is the point whose value
+    classifier(z_k) returns, and averages |z_k - T(z_k)| + |u(T(z_k)) -
+    c_B(z_k)|. Usable at any n; when every z_k lands exactly on a cloud point
+    this reduces to the plain L1 mismatch of values.
     """
     fresh = _fresh(model, m, seed)
-    dist, idx = classifier._tree.query(fresh.points, k=1)
+    dist, idx = classifier.nearest(fresh.points)
     vals = np.abs(classifier.values[idx] - bayes_classify(model, fresh.points))
     return float(np.mean(dist + vals))
 
@@ -301,9 +269,15 @@ def _tent_partition(points, lo, eps):
     weights = np.empty((n, 2 ** d))
     for c in range(2 ** d):
         weights[:, c] = np.prod(np.where(offs[c] == 1, frac, 1.0 - frac), axis=1)
-    nodes, keys = np.unique((base[:, None, :] + offs).reshape(-1, d), axis=0,
-                            return_inverse=True)
-    return keys.reshape(n, 2 ** d), weights, nodes.shape[0]
+    # number the distinct node rows in lexicographic order: sort the rows,
+    # then count the starts of runs of equal rows
+    rows = (base[:, None, :] + offs).reshape(-1, d)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    start = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    keys = np.empty(rows.shape[0], dtype=np.intp)
+    keys[order] = np.cumsum(start) - 1
+    return keys.reshape(n, 2 ** d), weights, int(start.sum())
 
 
 def concentration_diagnostic(cloud, model, eps):

@@ -241,6 +241,9 @@ def write_bad_inputs(tmp_path):
         (tmp_path / name).write_text(json.dumps(obj))
     (tmp_path / "no_excess.csv").write_text("regime,n,eps\noverfit,100,0.1\n")
     (tmp_path / "bad_n.csv").write_text("regime,n,excess_risk\noverfit,abc,0.1\n")
+    for name, row in (("inf", "2000,inf"), ("nan", "500,nan"), ("n-zero", "0,0.02")):
+        (tmp_path / ("report-%s.csv" % name)).write_text(
+            "regime,n,excess_risk\noverfit,100,0.1\noverfit,%s\n" % row)
     (tmp_path / "report.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
     (tmp_path / "d3.csv").write_text("x0,x1,x2,y\n" + "".join(
         "%.3f,%.3f,%.3f,%d\n" % (i / 50, (i * 7 % 50) / 50, (i * 13 % 50) / 50, i % 2)
@@ -269,6 +272,8 @@ BAD_INPUTS = {
     "plot-short-solution": ["plot", "--data", "{d}/d.csv", "--solution", "{d}/short.json"],
     "report-no-excess": ["plot", "--report", "{d}/no_excess.csv"],
     "report-bad-n": ["plot", "--report", "{d}/bad_n.csv"],
+    **{"report-%s" % name: ["plot", "--report", "{d}/report-%s.csv" % name]
+       for name in ("inf", "nan", "n-zero")},
     "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
     "model-nan-mu": ["gen", "--model", "{d}/model-nan.json", "--n", "5", "--out", "y.csv"],
     "model-unknown-key": ["gen", "--model", "{d}/model-typo.json", "--n", "5", "--out", "y.csv"],

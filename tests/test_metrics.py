@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 from scipy.spatial.distance import cdist
 
 from gtvclass import ValidationError
 from gtvclass import metrics as mx
 from gtvclass import groundtruth as gt
+from gtvclass.graph import build
 from gtvclass.groundtruth import (GroundTruthModel, asymmetric_model, bayes_classify,
-                                  bayes_risk, halfplane_model, quadrant_model, sample)
+                                  bayes_risk, halfplane_model, quadrant_model,
+                                  risk_of_constant, sample)
 from gtvclass.kernels import KernelProfile, surface_tension
+from gtvclass.solver import solve_mincut
 from test_acceptance import noisy_halfplane_model
 
 
@@ -40,8 +43,11 @@ def test_voronoi_hand_geometry():
     vc = mx.VoronoiClassifier(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     assert vc(np.array([0.3])) == 0.0
     assert vc(np.array([0.7])) == 1.0
-    # exact midpoint tie goes to the lowest index
-    assert vc(np.array([0.5])) == 0.0
+    # an exact midpoint tie goes to one of the two points, the one whose value
+    # the classifier returns
+    dist, idx = vc.nearest(np.array([0.5]))
+    assert dist == 0.5 and idx in (0, 1)
+    assert vc(np.array([0.5])) == vc.values[idx]
 
 
 def test_voronoi_own_value_at_reference_points():
@@ -57,13 +63,15 @@ def test_voronoi_single_point_constant():
     assert np.all(vc(np.random.Generator(np.random.Philox(0)).random((10, 2))) == 1.0)
 
 
-def test_voronoi_duplicate_point_tie_lowest_index():
+def test_voronoi_duplicate_point_tie_goes_to_a_copy():
     pts = np.array([[0.5], [0.5], [2.0]])
     vc = mx.VoronoiClassifier(pts, np.array([1.0, 0.0, 0.0]))
-    assert vc(np.array([0.5])) == 1.0
+    dist, idx = vc.nearest(np.array([0.5]))
+    assert dist == 0.0 and idx in (0, 1)
+    assert vc(np.array([0.5])) == vc.values[idx]
 
 
-def test_voronoi_tie_beyond_eight_goes_to_lowest_index():
+def test_voronoi_tie_beyond_eight_goes_to_a_tied_point():
     # 12 points of the integer circle of radius 5: every squared distance
     # from the origin is exactly 25, more ties than an 8-nearest query holds.
     # The same circle scaled by 20 makes 24 points, so the k-d tree splits
@@ -76,15 +84,14 @@ def test_voronoi_tie_beyond_eight_goes_to_lowest_index():
         orders = [np.arange(n), np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(40)]
         for order in orders:
             pts = cloud[order]
-            first = np.zeros(n)
-            first[np.flatnonzero((pts ** 2).sum(axis=1) == 25)[0]] = 1.0
-            assert mx.VoronoiClassifier(pts, first)(np.zeros(2)) == 1.0
-            assert mx.VoronoiClassifier(pts, 1.0 - first)(np.zeros(2)) == 0.0
+            ring = ((pts ** 2).sum(axis=1) == 25).astype(float)
+            assert mx.VoronoiClassifier(pts, ring)(np.zeros(2)) == 1.0
+            assert mx.VoronoiClassifier(pts, 1.0 - ring)(np.zeros(2)) == 0.0
 
 
-def brute_force_nearest(points, x):
-    # argmin of the recomputed squared distance; argmin keeps the lowest index
-    return ((x[:, None, :] - points[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+def brute_force_sq_dist(points, x):
+    # every recomputed squared distance, one row per query
+    return ((x[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
 
 
 def voronoi_cloud(kind, d, rng):
@@ -121,13 +128,16 @@ def voronoi_cloud(kind, d, rng):
 def test_voronoi_matches_brute_force_oracle(kind, d, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts, x = voronoi_cloud(kind, d, rng)
-    want = brute_force_nearest(pts, x)
+    d2 = brute_force_sq_dist(pts, x)
     # one classifier per bit of the point index spells out the chosen point
     ids = np.arange(len(pts))
     got = np.zeros(len(x), dtype=np.int64)
     for b in range(max(1, int(len(pts) - 1).bit_length())):
         got |= mx.VoronoiClassifier(pts, (ids >> b) & 1)(x).astype(np.int64) << b
-    assert np.array_equal(got, want)
+    # the chosen point is an exact nearest one, with no tolerance, and it is
+    # the point nearest() names
+    assert np.array_equal(d2[np.arange(len(x)), got], d2.min(axis=1))
+    assert np.array_equal(mx.VoronoiClassifier(pts, ids % 2).nearest(x)[1], got)
 
 
 def test_voronoi_validation():
@@ -211,6 +221,133 @@ def test_voronoi_of_bayes_values_agrees_at_cloud_points():
     vals = bayes_classify(model, cloud.points).astype(float)
     vc = mx.voronoi_extend(cloud, vals)
     assert np.array_equal(vc(cloud.points), vals)
+
+
+# ---------------------------------------------------------------- exact d = 2 risk
+
+def voronoi_cells_in_box(points, lo, hi):
+    """Each point's Voronoi cell within the box [lo, hi], a convex polygon
+    with its vertices in counter-clockwise order.
+
+    The four mirror images of the cloud across the box's faces bound every
+    original cell and cut it exactly at the faces: inside the box a mirror
+    image is never nearer than its original, and outside it each original's
+    mirror across a crossed face is nearer than the original itself.
+    """
+    if len(np.unique(points, axis=0)) < len(points):
+        raise ValueError("duplicate points have no Voronoi cell of their own")
+    copies = [points]
+    for j in range(2):
+        for face in (lo[j], hi[j]):
+            mirror = points.copy()
+            mirror[:, j] = 2 * face - mirror[:, j]
+            copies.append(mirror)
+    vor = Voronoi(np.concatenate(copies))
+    cells = []
+    for i in range(len(points)):
+        region = vor.regions[vor.point_region[i]]
+        assert region and -1 not in region
+        poly = vor.vertices[region]
+        c = poly.mean(axis=0)
+        cells.append(poly[np.argsort(np.arctan2(poly[:, 1] - c[1], poly[:, 0] - c[0]))])
+    return cells
+
+
+def clip_to_box(poly, lo, hi):
+    # Sutherland-Hodgman against the four half-planes of the box
+    for j in range(2):
+        for bound, sign in ((lo[j], 1.0), (hi[j], -1.0)):
+            if len(poly) == 0:
+                return poly
+            s = sign * (poly[:, j] - bound)   # inside where s >= 0
+            out = []
+            for p, q, a, b in zip(poly, np.roll(poly, -1, axis=0), s, np.roll(s, -1)):
+                if a >= 0:
+                    out.append(p)
+                if (a >= 0) != (b >= 0):
+                    out.append(p + (q - p) * (a / (a - b)))
+            poly = np.array(out).reshape(-1, 2)
+    return poly
+
+
+def shoelace(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def exact_risk_2d(points, values, model):
+    """Exact (risk, Bayes agreement) of the 1-NN extension of values in d = 2.
+
+    With area[k] the area of the label-1 cells inside the model's refined
+    piece k, where rho and mu are constant: R = int mu rho + sum_k (1 - 2 mu)
+    rho area[k], and 1 - agreement = mass{c_B = 1} + sum_k (1 - 2 c_B) rho
+    area[k]. Duplicate points are refused.
+    """
+    pieces = model._refined()
+    vol, rho, mu = (np.array(c) for c in list(zip(*pieces))[:3])
+    bayes = (mu >= 0.5).astype(float)
+    area = np.zeros(len(pieces))
+    for poly, v in zip(voronoi_cells_in_box(points, model.lo, model.hi), values):
+        if v == 1:
+            area += [shoelace(clip_to_box(poly, lo, hi)) for *_, lo, hi in pieces]
+    risk = np.sum(vol * rho * mu) + np.sum((1 - 2 * mu) * rho * area)
+    agreement = 1 - np.sum(vol * rho * bayes) - np.sum((1 - 2 * bayes) * rho * area)
+    return float(risk), float(agreement)
+
+
+def tilted_split_model():
+    # rho jumps at x0 = 0.3 and mu at x1 = 0.6, so refined pieces mix both
+    return GroundTruthModel((0, 0), (1, 1),
+                            [((0, 0), (0.3, 1), 2.0), ((0.3, 0), (1, 1), 4 / 7)],
+                            [((0, 0), (1, 0.6), 0.2), ((0, 0.6), (1, 1), 0.7)],
+                            name="tilted-split")
+
+
+def test_exact_risk_oracle_hand_cases():
+    model = noisy_halfplane_model()
+    # two points split the square at x0 = 0.4; the label-1 cell is x0 > 0.4
+    pts = np.array([[0.2, 0.5], [0.6, 0.5]])
+    risk, agreement = exact_risk_2d(pts, np.array([0.0, 1.0]), model)
+    assert risk == pytest.approx(0.5 + 0.1 * (1 - 0.2) + 0.5 * (1 - 1.8), abs=1e-12)
+    assert agreement == pytest.approx(0.9, abs=1e-12)
+    # a constant labeling is its constant's risk on any cloud, and the cells
+    # of a labeling and of its complement add up to the whole square
+    for model in (quadrant_model(), tilted_split_model()):
+        cloud = sample(model, 300, 80)
+        for c in (0.0, 1.0):
+            risk, _ = exact_risk_2d(cloud.points, np.full(300, c), model)
+            assert risk == pytest.approx(risk_of_constant(model, c), abs=1e-12)
+        u = (np.random.Generator(np.random.Philox(80)).random(300) < 0.5).astype(float)
+        r0, a0 = exact_risk_2d(cloud.points, u, model)
+        r1, a1 = exact_risk_2d(cloud.points, 1.0 - u, model)
+        assert r0 + r1 == pytest.approx(1.0, abs=1e-12)
+        assert a0 + a1 == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="duplicate"):
+        exact_risk_2d(np.array([[0.2, 0.5], [0.6, 0.5], [0.2, 0.5]]), np.ones(3), model)
+
+
+@pytest.mark.parametrize("make_model", [quadrant_model, tilted_split_model])
+@pytest.mark.parametrize("n", [300, 2000])
+def test_estimators_match_exact_risk_2d(make_model, n):
+    # each Monte-Carlo estimate lies within 4 binomial standard errors of the
+    # exact value, on a random labeling and on the min-cut solution at the
+    # README rule
+    model = make_model()
+    cloud = sample(model, n, (81, n))
+    g = build(cloud, 0.7 * n ** (-1 / 3), KernelProfile("indicator"))
+    labelings = {
+        "random": (np.random.Generator(np.random.Philox((82, n))).random(n) < 0.5).astype(float),
+        "mincut": solve_mincut(g, cloud.labels, 0.15 * n ** (-0.25)).u_binary,
+    }
+    m = 20000
+    for name, u in labelings.items():
+        risk, agreement = exact_risk_2d(cloud.points, u, model)
+        vc = mx.voronoi_extend(cloud, u)
+        for est, exact in ((mx.test_risk(vc, model, m, (83, n))[0], risk),
+                           (mx.bayes_agreement(vc, model, m, (84, n)), agreement)):
+            assert abs(est - exact) <= 4 * np.sqrt(exact * (1 - exact) / m), (name, est, exact)
 
 
 # ---------------------------------------------------------------- TL1
@@ -312,6 +449,20 @@ def test_tl1_proxy_matches_own_tree_oracle():
     u = np.r_[np.zeros(40), 1.0]
     got = mx.tl1_proxy_1nn(mx.voronoi_extend(dup, u), model, 300, 21)
     assert got == proxy_oracle(dup, u, model, 300, 21)
+
+
+def test_tl1_proxy_names_the_classifiers_point():
+    # every cloud point listed twice with opposite values, so each fresh z_k
+    # ties exactly between two copies; T(z_k) must be the copy whose value
+    # the classifier returns at z_k
+    model = quadrant_model()
+    cloud = sample(model, 200, 25)
+    u = (np.random.Generator(np.random.Philox(26)).random(200) < 0.5).astype(float)
+    vc = mx.VoronoiClassifier(np.concatenate([cloud.points] * 2), np.r_[u, 1.0 - u])
+    fresh = sample(model, 1000, 27)
+    dist, _ = cKDTree(cloud.points).query(fresh.points, k=1)
+    want = np.mean(dist) + np.mean(np.abs(vc(fresh.points) - bayes_classify(model, fresh.points)))
+    assert mx.tl1_proxy_1nn(vc, model, 1000, 27) == pytest.approx(want, abs=1e-12)
 
 
 def test_tl1_proxy_zero_displacement_reduction():
@@ -495,6 +646,16 @@ def test_concentration_single_tent_reduction():
         expect, abs=1e-14)
 
 
+def tent_keys_oracle(points, lo, eps):
+    # each point's 2^d tent nodes, corners in binary order, numbered by np.unique
+    d = points.shape[1]
+    base = np.floor((points - lo) / (eps / 2.0)).astype(np.int64)
+    offs = np.array(list(itertools.product((0, 1), repeat=d)))
+    nodes, keys = np.unique((base[:, None, :] + offs).reshape(-1, d), axis=0,
+                            return_inverse=True)
+    return keys.reshape(len(points), 2 ** d), len(nodes)
+
+
 def test_concentration_partition_of_unity():
     model = quadrant_model()
     pts = sample(model, 500, 62).points
@@ -503,6 +664,8 @@ def test_concentration_partition_of_unity():
         assert np.all(weights >= 0)
         assert np.all(keys >= 0) and np.all(keys < n_nodes)
         assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-10
+        want_keys, want_nodes = tent_keys_oracle(pts, model.lo, eps)
+        assert n_nodes == want_nodes and np.array_equal(keys, want_keys)
 
 
 @pytest.mark.parametrize("d, eps", [(2, 1e-5), (3, 1e-7)])
@@ -513,6 +676,8 @@ def test_concentration_nodes_scale_with_the_cloud(d, eps):
     cloud = sample(model, 200, (64, d))
     keys, _, n_nodes = mx._tent_partition(cloud.points, model.lo, eps)
     assert 0 < n_nodes <= 2 ** d * 200
+    want_keys, want_nodes = tent_keys_oracle(cloud.points, model.lo, eps)
+    assert n_nodes == want_nodes and np.array_equal(keys, want_keys)
     assert np.unique(keys).size == keys.size
     expect = np.mean(np.abs(model.mu_at(cloud.points) - cloud.labels))
     assert mx.concentration_diagnostic(cloud, model, eps) == pytest.approx(expect, rel=1e-12)

@@ -1,8 +1,10 @@
 """Every public top-level name of the package is reached by something other
 than its own definition and its unit tests: the package itself, the
-benchmark, or the acceptance scoreboard."""
+benchmark, or the acceptance scoreboard. Every name the benchmark's span
+tracer rebinds resolves to a callable in the package."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +49,17 @@ def test_every_public_name_is_reached():
     unreached = sorted("%s.%s" % (defined[name], name)
                        for name in set(defined) - used - ALLOWED)
     assert not unreached, unreached
+
+
+def test_bench_span_targets_resolve():
+    # bench/spans.py rebinds its TARGETS by name; a rename in the package
+    # must fail here rather than when the benchmark traces a run
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for name, module, path in spans.TARGETS:
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        assert callable(obj), (name, module, path)
