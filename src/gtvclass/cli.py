@@ -100,6 +100,15 @@ def _int_from(lo, from_json=False):
     return integer
 
 
+def _tolerance(text):
+    """--tol: a number strictly between 0 and 1, for either method (library
+    callers get the same check from SolverConfig)."""
+    value = float(text)
+    if not 0 < value < 1:   # NaN fails too
+        raise argparse.ArgumentTypeError("%r is not in (0, 1)" % text)
+    return value
+
+
 def _ints_from(lo):
     def integers(value):
         if not isinstance(value, list) or not value:
@@ -431,6 +440,8 @@ def _cmd_gamma_check(args):
 def _cmd_plot(args):
     if args.solution and not args.data:
         raise ValidationError("--solution needs the --data it labels")
+    if args.regime is not None and not args.report:
+        raise ValidationError("--regime filters the curves of a --report")
     docs = []   # (file name, SVG text)
     if args.report:
         raw = list(csv.DictReader(io.StringIO(read_text(args.report))))
@@ -523,7 +534,7 @@ def _build_parser():
             sp.add_argument("--method", choices=("pd", "mincut"),
                             default="mincut")
             sp.add_argument("--max-iters", type=_int_from(0), default=MAX_ITERS)
-            sp.add_argument("--tol", type=float, default=TOL)
+            sp.add_argument("--tol", type=_tolerance, default=TOL)
 
     sp = add_parser("sweep", _cmd_sweep, help="run a regime sweep from a JSON config")
     sp.add_argument("--config", required=True)

@@ -277,8 +277,18 @@ def halfplane_model():
                             [((0, 0), (1, 1), 1.0)], cells, name="halfplane")
 
 
+def noisy_halfplane_model():
+    """Uniform density on the unit square, mu = 0.1 on {x0 < 1/2} and 0.9
+    on the rest: Bayes risk 0.1, either constant risks 0.5."""
+    cells = [((0.0, 0.0), (0.5, 1.0), 0.1),
+             ((0.5, 0.0), (1.0, 1.0), 0.9)]
+    return GroundTruthModel((0, 0), (1, 1), [((0, 0), (1, 1), 1.0)], cells,
+                            name="noisy-halfplane")
+
+
 BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
-                  "halfplane": halfplane_model}
+                  "halfplane": halfplane_model,
+                  "noisy-halfplane": noisy_halfplane_model}
 
 
 # -- persistence ------------------------------------------------------------
@@ -306,12 +316,17 @@ def load_model(path):
 
 def save_cloud(cloud, path):
     """Dataset CSV: header x0,...,x{d-1},y, one row per sample, floats written
-    with enough digits to round-trip exactly."""
+    with enough digits to round-trip exactly. Rows go out in blocks of a
+    fixed size, formatted from Python floats (far cheaper than numpy
+    scalars), so memory stays bounded at any n."""
+    block = 4096
+    # \r\n line ends, as the csv module's writer has always written them
+    row = "%.17g," * cloud.d + "%d\r\n"
     with open(path, "w", newline="") as f:
-        # \r\n line ends, as the csv module's writer has always written them
         f.write(",".join(["x%d" % k for k in range(cloud.d)] + ["y"]) + "\r\n")
-        np.savetxt(f, np.column_stack([cloud.points, cloud.labels]),
-                   fmt=["%.17g"] * cloud.d + ["%d"], delimiter=",", newline="\r\n")
+        for lo in range(0, cloud.n, block):
+            cols = cloud.points[lo:lo + block].T.tolist()
+            f.writelines(map(row.__mod__, zip(*cols, cloud.labels[lo:lo + block].tolist())))
 
 
 def load_cloud(path):

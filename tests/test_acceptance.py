@@ -17,9 +17,9 @@ import numpy as np
 
 from gtvclass import metrics as mx
 from gtvclass.graph import build, gtv
-from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud,
-                                  asymmetric_model, bayes_risk, bayes_tv,
-                                  halfplane_model, quadrant_model,
+from gtvclass.groundtruth import (LabeledCloud, asymmetric_model,
+                                  bayes_risk, bayes_tv, halfplane_model,
+                                  noisy_halfplane_model, quadrant_model,
                                   risk_of_constant, sample)
 from gtvclass.kernels import SHAPES, KernelProfile, surface_tension
 from gtvclass.solver import (SolverConfig, certify_overfit, solve_brute_force,
@@ -167,15 +167,6 @@ def test_04_underfitting_regime(capsys):
             "; ".join(details) + ", %.1fs" % elapsed)
     assert all_ok, "huge lambda must collapse to the empirical majority label"
     assert elapsed < BUDGET_UNDERFIT_S
-
-
-def noisy_halfplane_model():
-    """Uniform density on the unit square, mu = 0.1 on {x0 < 1/2} and 0.9
-    on the rest: Bayes risk 0.1, either constant risks 0.5."""
-    cells = [((0.0, 0.0), (0.5, 1.0), 0.1),
-             ((0.5, 0.0), (1.0, 1.0), 0.9)]
-    return GroundTruthModel((0, 0), (1, 1), [((0, 0), (1, 1), 1.0)], cells,
-                            name="noisy-halfplane")
 
 
 def _interface_costs_and_gain(model, lam_scale):

@@ -296,9 +296,13 @@ BAD_INPUTS = {
     **{"%s-data-%s" % (cmd, name): [cmd, "--data", "{d}/data-%s.csv" % name, "--eps", "0.3",
                                     "--lambda", "0.01"]
        for cmd in ("solve", "certify") for name in ("nan", "inf", "extra-field")},
-    **{"solve-pd-tol-%s" % name: ["solve", "--data", "{d}/d.csv", "--eps", "0.3",
-                                  "--lambda", "0.01", "--method", "pd", "--tol", value]
-       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"))},
+    **{"solve-%s-tol-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps", "0.3",
+                                            "--lambda", "0.01", "--method", method,
+                                            "--tol", value]
+       for method in ("pd", "mincut")
+       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"), ("seven", "7"),
+                           ("zero", "0"), ("text", "abc"))},
+    "plot-regime-no-report": ["plot", "--data", "{d}/d.csv", "--regime", "nonsense"],
 }
 
 
@@ -518,6 +522,21 @@ def test_gen_deterministic_bytes(tmp_path):
     run(tmp_path, "gen", "--model", "builtin:asymmetric", "--n", "77",
         "--out", "g2.csv", "--seed", "12")
     assert (tmp_path / "g1.csv").read_bytes() == (tmp_path / "g2.csv").read_bytes()
+
+
+def test_gen_builtin_noisy_halfplane(tmp_path, capsys):
+    from gtvclass.groundtruth import (BUILTIN_MODELS, bayes_risk, bayes_tv, load_cloud,
+                                      risk_of_constant)
+
+    assert run(tmp_path, "gen", "--model", "builtin:noisy-halfplane", "--n", "40",
+               "--out", "nh.csv", "--seed", "3") == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "noisy-halfplane"
+    assert load_cloud(tmp_path / "nh.csv").points.shape == (40, 2)
+    model = BUILTIN_MODELS["noisy-halfplane"]()
+    assert bayes_risk(model) == pytest.approx(0.1, abs=1e-12)
+    assert risk_of_constant(model, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert risk_of_constant(model, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert bayes_tv(model) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_energy_recompute_invariant(tmp_path):

@@ -398,6 +398,27 @@ def test_save_cloud_matches_csv_module_oracle(tmp_path_factory, data, d, n):
     assert got.read_bytes() == want.read_bytes()
 
 
+SAVE_BLOCK = 4096   # the number of rows save_cloud formats at a time
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [SAVE_BLOCK - 1, SAVE_BLOCK, SAVE_BLOCK + 1, 2 * SAVE_BLOCK + 3])
+def test_save_cloud_block_boundaries_match_csv_module_oracle(tmp_path, n, d):
+    rng = np.random.default_rng((n, d))
+    points = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+    edge = rng.random((n, d)) < 0.1
+    points[edge] = rng.choice(EDGE_VALUES + (-5e-324, -1e-300, 1e300), edge.sum())
+    cloud = gt.LabeledCloud(points, rng.integers(0, 2, n))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    gt.save_cloud(cloud, got)
+    csv_module_save_cloud(cloud, want)
+    assert got.read_bytes() == want.read_bytes()
+    if n == 2 * SAVE_BLOCK + 3:
+        back = gt.load_cloud(got)
+        assert np.array_equal(back.points.view(np.int64), points.view(np.int64))
+        assert np.array_equal(back.labels, cloud.labels)
+
+
 # (file text, load_cloud accepts it, the csv-module oracle accepts it)
 DATASET_CASES = {
     "blank-line": ("x0,y\n0.5,1\n\n0.25,0\n", False, False),

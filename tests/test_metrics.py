@@ -16,11 +16,10 @@ from gtvclass import metrics as mx
 from gtvclass import groundtruth as gt
 from gtvclass.graph import build
 from gtvclass.groundtruth import (GroundTruthModel, asymmetric_model, bayes_classify,
-                                  bayes_risk, halfplane_model, quadrant_model,
-                                  risk_of_constant, sample)
+                                  bayes_risk, halfplane_model, noisy_halfplane_model,
+                                  quadrant_model, risk_of_constant, sample)
 from gtvclass.kernels import KernelProfile, surface_tension
 from gtvclass.solver import solve_mincut
-from test_acceptance import noisy_halfplane_model
 
 
 def uniform_square():
