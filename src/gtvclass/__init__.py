@@ -9,6 +9,8 @@ Modules:
     cli          command line driver for datasets, solves, and regime sweeps
 """
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Invalid argument or malformed input data."""
@@ -23,6 +25,31 @@ def check_keys(obj, keys, where):
     if unknown:
         raise ValidationError("%s has unknown keys %s" % (where, unknown))
     return obj
+
+
+def json_value(kind):
+    """Converter that takes only a JSON value of one kind: str a string, dict
+    an object, list an array, float a finite number. A bool is none of them,
+    and neither is the NaN, Infinity or overflowing 1e400 that Python's json
+    reads."""
+    types = (int, float) if kind is float else kind
+    def value_of(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError("expected a JSON %s, got %r" % (kind.__name__, value))
+        value = kind(value)
+        if kind is float and not np.isfinite(value):
+            raise ValueError("%r is not finite" % value)
+        return value
+    return value_of
+
+
+def check_points(x, d, owner):
+    """x as a float (n, d) array, one row per point; any other shape is a ValidationError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        got = "d = %d" % x.shape[1] if x.ndim == 2 else "shape %s" % (x.shape,)
+        raise ValidationError("%s has d = %d, points have %s" % (owner, d, got))
+    return x
 
 
 def read_text(path):

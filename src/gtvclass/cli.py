@@ -26,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import ValidationError, check_keys, read_text
+from . import ValidationError, check_keys, json_value, read_text
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
                           sample, save_cloud)
@@ -117,21 +117,6 @@ def _ints_from(lo):
     return integers
 
 
-def _json(kind):
-    """Converter that takes only a JSON value of one kind: str a string, dict
-    an object, float a finite number. A bool is none of them, and neither is
-    the NaN, Infinity or overflowing 1e400 that Python's json reads."""
-    types = (int, float) if kind is float else kind
-    def value_of(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError("expected a JSON %s, got %r" % (kind.__name__, value))
-        value = kind(value)
-        if kind is float and not np.isfinite(value):
-            raise ValueError("%r is not finite" % value)
-        return value
-    return value_of
-
-
 def _read(raw, kinds, where, **defaults):
     """{key: kinds[key](raw[key])}; unknown or absent keys are a ValidationError."""
     raw = {**defaults, **check_keys(raw, kinds, where)}
@@ -168,25 +153,24 @@ class SweepConfig:
     c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
     """
 
-    KEYS = {"model": _json(str), "n_list": _ints_from(1), "eps_rule": _json(dict),
-            "lambda_rule": _json(dict), "kernel": _json(str), "seeds": _ints_from(0),
-            "test_m": _int_from(100, from_json=True), "report": _json(str)}
+    KEYS = {"model": json_value(str), "n_list": _ints_from(1), "eps_rule": json_value(dict),
+            "lambda_rule": json_value(dict), "kernel": json_value(str), "seeds": _ints_from(0),
+            "test_m": _int_from(100, from_json=True), "report": json_value(str)}
 
     def __init__(self, raw):
+        number = json_value(float)
         self.__dict__.update(_read(raw, self.KEYS, "sweep config", kernel="indicator",
                                    test_m=2000, report="report.csv"))
         self.eps_c, self.eps_a = _read(
-            self.eps_rule, {"c": _json(float), "a": _json(float)}, "eps_rule").values()
+            self.eps_rule, {"c": number, "a": number}, "eps_rule").values()
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s"
                                   % (REGIMES,))
         _, self.lam_c, self.lam_b = _read(
-            self.lambda_rule, {"regime": _json(str), "c": _json(float), "b": _json(float)},
+            self.lambda_rule, {"regime": json_value(str), "c": number, "b": number},
             "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
-        if self.eps_c <= 0 or self.lam_c <= 0:
-            raise ValidationError("rule constants must be positive")
-        # finite constants can still over- or underflow at some n of n_list
+        # each rule must give a positive, finite value at every n of n_list
         for n in self.n_list:
             eps = _rule_value("eps_rule", n, self.eps_of, n)
             _rule_value("lambda_rule", n, self.lambda_of, n, eps)
@@ -451,7 +435,7 @@ def _cmd_plot(args):
         for r in raw:
             tag, n, e = (_field(r, key, kind, args.report) for key, kind in
                          (("regime", str), ("n", _int_from(1)),
-                          ("excess_risk", lambda text: _json(float)(float(text)))))
+                          ("excess_risk", lambda text: json_value(float)(float(text)))))
             groups.setdefault(tag, {}).setdefault(n, []).append(e)
         if args.regime is not None:
             if args.regime not in groups:
@@ -484,8 +468,6 @@ def _cmd_plot(args):
 def _cmd_risk(args):
     cloud = load_cloud(args.data)
     model = _resolve_model(args.model)
-    if cloud.d != model.d:
-        raise ValidationError("dataset has d = %d, model has d = %d" % (cloud.d, model.d))
     ub = _load_solution(args.solution, cloud)
     _emit_json({"n": cloud.n, "test_m": args.test_m, "bayes_risk": bayes_risk(model),
                 **_evaluate(cloud, ub, model, args.test_m, args.seed)},

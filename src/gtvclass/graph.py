@@ -37,10 +37,11 @@ class NeighborGraph:
 
 
 def build(cloud, eps, profile):
-    """Build the eps-neighborhood graph of a LabeledCloud (or raw points)."""
+    """Build the eps-neighborhood graph of a LabeledCloud or an (n, d) array."""
     points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, dtype=float)
-    if points.size == 0:
-        raise ValidationError("cannot build a graph over an empty cloud")
+    if points.ndim != 2 or points.size == 0:
+        raise ValidationError("need a nonempty (n, d) array of points, got shape %s"
+                              % (points.shape,))
     if not (0 < eps < np.inf):
         raise ValidationError("eps must be positive and finite")
     n, d = points.shape

@@ -11,11 +11,10 @@ belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 import io
 import json
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
-from . import ValidationError, check_keys, read_text
+from . import ValidationError, check_keys, check_points, json_value, read_text
 
 
 class GroundTruthModel:
@@ -118,10 +117,10 @@ class GroundTruthModel:
 
         Cells are half-open [lo, hi) except on the domain's top face, which
         belongs to the cells that reach it; overlapping cells go to the
-        lowest id. Raises ValidationError for points outside the domain or in
-        no cell.
+        lowest id. Raises ValidationError unless x is an (n, d) array of
+        points in the domain, each in some cell.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = check_points(x, self.d, "model")
         if np.any(x < self.lo - 1e-12) or np.any(x > self.hi + 1e-12):
             raise ValidationError("point outside the domain")
         faces, ids = table
@@ -137,14 +136,12 @@ class GroundTruthModel:
         return idx
 
     def rho_at(self, x):
-        single = np.asarray(x).ndim == 1
-        v = self._rho[self._cell_index(self._rho_table, x)]
-        return float(v[0]) if single else v
+        """rho at each row of the (n, d) array x, as an (n,) array."""
+        return self._rho[self._cell_index(self._rho_table, x)]
 
     def mu_at(self, x):
-        single = np.asarray(x).ndim == 1
-        v = self._mu[self._cell_index(self._mu_table, x)]
-        return float(v[0]) if single else v
+        """mu = P(y = 1 | x) at each row of the (n, d) array x, as an (n,) array."""
+        return self._mu[self._cell_index(self._mu_table, x)]
 
     def _refined(self):
         # intersections of the two partitions: (volume, rho, mu, lo, hi) per piece
@@ -200,11 +197,8 @@ def sample(model, n, seed):
 
 
 def bayes_classify(model, x):
-    """The risk-minimizing label: 1 iff mu(x) >= 1/2."""
-    v = model.mu_at(x)
-    if np.ndim(v) == 0:
-        return int(v >= 0.5)
-    return (v >= 0.5).astype(np.int64)
+    """The risk-minimizing label, 1 iff mu(x) >= 1/2, as an (n,) int64 array."""
+    return (model.mu_at(x) >= 0.5).astype(np.int64)
 
 
 def bayes_risk(model):
@@ -294,15 +288,19 @@ BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
 # -- persistence ------------------------------------------------------------
 
 def model_from_dict(obj):
-    cell = ("lo", "hi", "value")
+    number = json_value(float)
+    def vector(v):
+        return [number(t) for t in json_value(list)(v)]
+    def cell(c, key):
+        c = check_keys(c, ("lo", "hi", "value"), key)
+        return vector(c["lo"]), vector(c["hi"]), number(c["value"])
     try:
         check_keys(obj, ("name", "domain", "density_cells", "mu_cells"), "model")
         dom = check_keys(obj["domain"], ("lo", "hi"), "domain")
-        dens, mu = ([itemgetter(*cell)(check_keys(c, cell, key)) for c in obj[key]]
-                    for key in ("density_cells", "mu_cells"))
-        return GroundTruthModel(dom["lo"], dom["hi"], dens, mu,
-                                name=obj.get("name", "model"))
-    except (KeyError, TypeError, ValueError) as e:
+        dens, mu = ([cell(c, key) for c in obj[key]] for key in ("density_cells", "mu_cells"))
+        return GroundTruthModel(vector(dom["lo"]), vector(dom["hi"]), dens, mu,
+                                name=json_value(str)(obj.get("name", "model")))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError("malformed model description: %s" % e) from None
 
 

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ValidationError
+from . import ValidationError, check_points
 from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
@@ -45,7 +45,9 @@ def empirical_risk(u, labels):
 class VoronoiClassifier:
     """1-NN extension of binary node values to the whole domain.
 
-    The prediction at x is the value of an exact nearest reference point,
+    Built from (n, d) reference points and one value per point; queries are
+    (m, d) arrays with the same d, and a prediction is an (m,) array. The
+    prediction at x is the value of an exact nearest reference point,
     found by one k = 1 k-d tree query. Among exact ties, which have measure
     zero for sampled points, it is the point the tree returns, which is
     deterministic for a given listing of the cloud.
@@ -66,16 +68,15 @@ class VoronoiClassifier:
 
     def nearest(self, x):
         """(distance, index) of the nearest reference point to each row of x."""
+        x = check_points(x, self.points.shape[1], "reference cloud")
         return self._tree.query(x, k=1)
 
     def __call__(self, x):
-        out = self.values[self.nearest(x)[1]]
-        return float(out) if np.ndim(x) == 1 else out
+        return self.values[self.nearest(x)[1]]
 
 
 def voronoi_extend(cloud, u):
-    points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, dtype=float)
-    return VoronoiClassifier(points, u)
+    return VoronoiClassifier(cloud.points, u)
 
 
 def _fresh(model, m, seed):
@@ -121,13 +122,9 @@ class TransportPlanResult:
             self.cost, self.sup_displacement)
 
 
-def _as_points(x):
-    x = np.asarray(x, dtype=float)
-    return x[:, None] if x.ndim == 1 else x
-
-
 def tl1_exact(points_a, f_a, points_b, f_b):
-    """Exact TL1 distance between two equal-size discrete functions.
+    """Exact TL1 distance between two equal-size discrete functions, given
+    as (n, d) point arrays and (n,) values.
 
     Minimizes (1/n) sum_i |x_i - z_s(i)| + |f(x_i) - g(z_s(i))| over
     assignments s, solved by an exact augmenting-path assignment algorithm.
@@ -135,15 +132,13 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     taken as a permutation, so this is the genuine TL1 distance between the
     two elements. Unequal sizes (general couplings) are out of scope.
     """
-    xa, xb = _as_points(points_a), _as_points(points_b)
-    fa = np.asarray(f_a, dtype=float)
-    fb = np.asarray(f_b, dtype=float)
+    xa, xb, fa, fb = (np.asarray(v, dtype=float) for v in (points_a, points_b, f_a, f_b))
+    if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
+        raise ValidationError("points must be (n, d) arrays with one d")
     if xa.shape[0] != xb.shape[0]:
         raise ValidationError("equal point counts required; unequal sizes are out of scope")
     if xa.shape[0] == 0:
         raise ValidationError("empty point sets")
-    if xa.shape[1] != xb.shape[1]:
-        raise ValidationError("dimension mismatch")
     if fa.shape != (xa.shape[0],) or fb.shape != (xb.shape[0],):
         raise ValidationError("need one function value per point")
     n = xa.shape[0]
@@ -202,7 +197,8 @@ def quadrature_points(model, n):
 
 def transport_bracket(cloud, model):
     """Bracket (lower, upper) on the infinity-transport distance between the
-    cloud and the model's n-point quadrature grid, n the cloud's size.
+    cloud (a LabeledCloud or an (n, d) array with the model's d) and the
+    model's n-point quadrature grid, n the cloud's size.
 
     lower is the larger of the two directed nearest-neighbour maxima, grid to
     cloud and cloud to grid: every bijection moves each point at least to its
@@ -217,14 +213,11 @@ def transport_bracket(cloud, model):
     The grid only approximates the model's measure nu, so grid-to-cloud
     distances bound d_inf(nu, nu_n) only up to the grid's own distance to nu.
     """
-    points = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
+    points = np.asarray(cloud.points if hasattr(cloud, "points") else cloud, dtype=float)
+    model.rho_at(points)  # a ValidationError for another shape or outside the domain
     n = points.shape[0]
     if n == 0:
         raise ValidationError("empty cloud")
-    if points.shape[1] != model.d:
-        raise ValidationError("cloud has d = %d, model has d = %d"
-                              % (points.shape[1], model.d))
-    model.rho_at(points)  # a ValidationError for points outside the domain
     grid = quadrature_points(model, n)
     gtree, ctree = cKDTree(grid), cKDTree(points)
     to_cloud, _ = ctree.query(grid)
@@ -259,7 +252,6 @@ def _tent_partition(points, lo, eps):
     of 1-D hats of half-width eps/2, so each point's weights sum to 1 and the
     slopes scale like 1/eps.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = points.shape
     h = eps / 2.0
     rel = (points - lo) / h
@@ -290,12 +282,11 @@ def concentration_diagnostic(cloud, model, eps):
     """
     if not (0 < eps < np.inf):
         raise ValidationError("eps must be positive and finite")
-    points = np.atleast_2d(np.asarray(cloud.points, dtype=float))
-    resid = model.mu_at(points) - np.asarray(cloud.labels, dtype=float)
-    keys, weights, n_nodes = _tent_partition(points, model.lo, eps)
+    resid = model.mu_at(cloud.points) - np.asarray(cloud.labels, dtype=float)
+    keys, weights, n_nodes = _tent_partition(cloud.points, model.lo, eps)
     acc = np.zeros(n_nodes)
     np.add.at(acc, keys.ravel(), (resid[:, None] * weights).ravel())
-    return float(np.abs(acc).sum() / points.shape[0])
+    return float(np.abs(acc).sum() / resid.size)
 
 
 def gamma_check(model, profile, n_list, eps_rule, seed):

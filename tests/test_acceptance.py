@@ -10,7 +10,6 @@ budgets are pinned as constants below; nothing in this file adapts to
 the machine or to previous runs.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -25,6 +24,7 @@ from gtvclass.kernels import SHAPES, KernelProfile, surface_tension
 from gtvclass.solver import (SolverConfig, certify_overfit, solve_brute_force,
                              solve_mincut, solve_primal_dual)
 from test_graph import divergence
+from test_metrics import brute_tl1
 
 SEED_ORACLE = 101
 SEED_TIGHTNESS = 202
@@ -306,16 +306,6 @@ def test_07_continuum_limit_trend(capsys):
     assert elapsed < BUDGET_GAMMA_S
 
 
-def _brute_tl1(xa, fa, xb, fb):
-    n = xa.shape[0]
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        p = list(perm)
-        c = (np.linalg.norm(xa - xb[p], axis=1) + np.abs(fa - fb[p])).sum() / n
-        best = min(best, c)
-    return best
-
-
 def test_08_tl1_exactness_and_axioms(capsys):
     rng = np.random.Generator(np.random.Philox(SEED_TL1))
     t0 = time.perf_counter()
@@ -326,7 +316,7 @@ def test_08_tl1_exactness_and_axioms(capsys):
         xa, xb = rng.random((n, d)), rng.random((n, d))
         fa, fb = rng.normal(size=n), rng.normal(size=n)
         got = mx.tl1_exact(xa, fa, xb, fb).cost
-        worst = max(worst, abs(got - _brute_tl1(xa, fa, xb, fb)))
+        worst = max(worst, abs(got - brute_tl1(xa, fa, xb, fb)))
     worst_sym = 0.0
     worst_tri = -np.inf
     for _ in range(50):

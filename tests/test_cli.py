@@ -219,6 +219,9 @@ def write_bad_inputs(tmp_path):
     run(tmp_path, "solve", "--data", str(tmp_path / "d.csv"), "--eps", "0.3",
         "--lambda", "0.01", "--out", "s.json")
     sol = json.loads((tmp_path / "s.json").read_text())
+    one_d = {"domain": {"lo": [0], "hi": [1]},
+             "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
+             "mu_cells": [{"lo": [0], "hi": [1], "value": 0.3}]}
     files = {
         "short.json": dict(sol, u_binary=sol["u_binary"][:20]),
         "no_u.json": {k: v for k, v in sol.items() if k != "u_binary"},
@@ -227,6 +230,10 @@ def write_bad_inputs(tmp_path):
         "model-nan.json": {"domain": {"lo": [0], "hi": [1]},
                            "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
                            "mu_cells": [{"lo": [0], "hi": [1], "value": float("nan")}]},
+        # JSON numbers only: no bool, no number in a string, no numeric name
+        "model-bool.json": dict(one_d, mu_cells=[{"lo": [0], "hi": [1], "value": True}]),
+        "model-string-number.json": dict(one_d, domain={"lo": [0], "hi": ["1e0"]}),
+        "model-numeric-name.json": dict(one_d, name=5),
         "model-typo.json": {"domain": {"lo": [0], "hi": [1]}, "mu_typo": 3,
                             "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
                             "mu_cells": [{"lo": [0], "hi": [1], "value": 0.3}]},
@@ -276,6 +283,9 @@ BAD_INPUTS = {
        for name in ("inf", "nan", "n-zero")},
     "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
     "model-nan-mu": ["gen", "--model", "{d}/model-nan.json", "--n", "5", "--out", "y.csv"],
+    **{"model-%s" % name: ["gen", "--model", "{d}/model-%s.json" % name, "--n", "5",
+                           "--out", "y.csv"]
+       for name in ("bool", "string-number", "numeric-name")},
     "model-unknown-key": ["gen", "--model", "{d}/model-typo.json", "--n", "5", "--out", "y.csv"],
     "gamma-interface-flag": ["gamma-check", "--interface", "{d}/s.json", "--n-list", "100"],
     "gamma-vertical-flag": ["gamma-check", "--vertical", "0.5", "--n-list", "100"],
@@ -371,6 +381,9 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     ({"eps_rule": {"c": 0.7, "a": 400}}, "eps_rule"),
     ({"lambda_rule": {"regime": "underfit", "c": 0.15, "b": 400}}, "lambda_rule"),
     ({"lambda_rule": {"regime": "underfit", "c": 0.15, "b": -400}}, "lambda_rule"),
+    # constants that give eps <= 0 or lambda <= 0 at every n
+    ({"eps_rule": {"c": -0.7, "a": 0.3}}, "eps_rule"),
+    ({"lambda_rule": {"regime": "fixed", "c": 0}}, "lambda_rule"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):

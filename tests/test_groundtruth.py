@@ -95,18 +95,17 @@ def test_sample_rejects_n_zero():
 
 def test_bayes_classify_quadrants():
     m = gt.quadrant_model()
-    assert gt.bayes_classify(m, np.array([0.25, 0.75])) == 1   # upper left
-    assert gt.bayes_classify(m, np.array([0.25, 0.25])) == 0   # lower left
-    assert gt.bayes_classify(m, np.array([0.75, 0.25])) == 1   # lower right
-    assert gt.bayes_classify(m, np.array([0.75, 0.75])) == 0   # upper right
+    # upper left, lower left, lower right, upper right
+    x = np.array([[0.25, 0.75], [0.25, 0.25], [0.75, 0.25], [0.75, 0.75]])
+    assert np.array_equal(gt.bayes_classify(m, x), [1, 0, 1, 0])
     m9 = constant_mu_model(0.9)
     x = np.random.Generator(np.random.Philox(1)).random((50, 2))
     assert np.all(gt.bayes_classify(m9, x) == 1)
 
 
 def test_classify_outside_domain_rejected():
-    with pytest.raises(ValidationError):
-        gt.bayes_classify(gt.quadrant_model(), np.array([1.5, 0.5]))
+    with pytest.raises(ValidationError, match="outside the domain"):
+        gt.bayes_classify(gt.quadrant_model(), np.array([[1.5, 0.5]]))
 
 
 def test_bayes_risk_oracles():
@@ -179,7 +178,7 @@ def assert_lookups_match_oracle(model, x):
         else:
             assert got[0] == "ok" and np.array_equal(got[1], want[1])
             assert np.array_equal(at(x), vals[want[1]])
-            assert at(x[0]) == vals[want[1][0]]
+            assert np.array_equal(at(x[:1]), vals[want[1][:1]])
     # want now holds the mu lookup
     if want[0] == "error":
         assert outcome(gt.bayes_classify, model, x) == want

@@ -15,9 +15,10 @@ from gtvclass import ValidationError
 from gtvclass import metrics as mx
 from gtvclass import groundtruth as gt
 from gtvclass.graph import build
-from gtvclass.groundtruth import (GroundTruthModel, asymmetric_model, bayes_classify,
-                                  bayes_risk, halfplane_model, noisy_halfplane_model,
-                                  quadrant_model, risk_of_constant, sample)
+from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud, asymmetric_model,
+                                  bayes_classify, bayes_risk, halfplane_model,
+                                  noisy_halfplane_model, quadrant_model, risk_of_constant,
+                                  sample)
 from gtvclass.kernels import KernelProfile, surface_tension
 from gtvclass.solver import solve_mincut
 
@@ -40,13 +41,12 @@ def test_empirical_risk_examples():
 
 def test_voronoi_hand_geometry():
     vc = mx.VoronoiClassifier(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-    assert vc(np.array([0.3])) == 0.0
-    assert vc(np.array([0.7])) == 1.0
+    assert np.array_equal(vc(np.array([[0.3], [0.7]])), [0.0, 1.0])
     # an exact midpoint tie goes to one of the two points, the one whose value
     # the classifier returns
-    dist, idx = vc.nearest(np.array([0.5]))
-    assert dist == 0.5 and idx in (0, 1)
-    assert vc(np.array([0.5])) == vc.values[idx]
+    dist, idx = vc.nearest(np.array([[0.5]]))
+    assert dist[0] == 0.5 and idx[0] in (0, 1)
+    assert vc(np.array([[0.5]]))[0] == vc.values[idx[0]]
 
 
 def test_voronoi_own_value_at_reference_points():
@@ -65,9 +65,9 @@ def test_voronoi_single_point_constant():
 def test_voronoi_duplicate_point_tie_goes_to_a_copy():
     pts = np.array([[0.5], [0.5], [2.0]])
     vc = mx.VoronoiClassifier(pts, np.array([1.0, 0.0, 0.0]))
-    dist, idx = vc.nearest(np.array([0.5]))
-    assert dist == 0.0 and idx in (0, 1)
-    assert vc(np.array([0.5])) == vc.values[idx]
+    dist, idx = vc.nearest(np.array([[0.5]]))
+    assert dist[0] == 0.0 and idx[0] in (0, 1)
+    assert vc(np.array([[0.5]]))[0] == vc.values[idx[0]]
 
 
 def test_voronoi_tie_beyond_eight_goes_to_a_tied_point():
@@ -84,8 +84,8 @@ def test_voronoi_tie_beyond_eight_goes_to_a_tied_point():
         for order in orders:
             pts = cloud[order]
             ring = ((pts ** 2).sum(axis=1) == 25).astype(float)
-            assert mx.VoronoiClassifier(pts, ring)(np.zeros(2)) == 1.0
-            assert mx.VoronoiClassifier(pts, 1.0 - ring)(np.zeros(2)) == 0.0
+            assert mx.VoronoiClassifier(pts, ring)(np.zeros((1, 2)))[0] == 1.0
+            assert mx.VoronoiClassifier(pts, 1.0 - ring)(np.zeros((1, 2)))[0] == 0.0
 
 
 def brute_force_sq_dist(points, x):
@@ -361,14 +361,14 @@ def test_tl1_identical_is_zero():
 
 
 def test_tl1_single_pair():
-    r = mx.tl1_exact(np.array([0.0]), np.array([0.0]),
-                     np.array([1.0]), np.array([2.0]))
+    r = mx.tl1_exact(np.array([[0.0]]), np.array([0.0]),
+                     np.array([[1.0]]), np.array([2.0]))
     assert r.cost == pytest.approx(3.0)
     assert r.sup_displacement == pytest.approx(1.0)
 
 
 def test_tl1_two_point_swap():
-    x = np.array([0.0, 1.0])
+    x = np.array([[0.0], [1.0]])
     assert mx.tl1_exact(x, np.array([0.0, 1.0]),
                         x, np.array([1.0, 0.0])).cost == pytest.approx(1.0)
 
@@ -855,3 +855,57 @@ def test_gamma_check_error_shrinks():
     assert rows[0]["target"] == pytest.approx(4 / 3)
     errs = [r["abs_err"] for r in rows]
     assert errs[2] < errs[0]
+
+
+# ---------------------------------------------------------------- point arrays
+
+def split_box(d):
+    # uniform density on [0, 1]^d, mu = 0.2 on {x0 < 1/2} and 0.8 on the rest
+    lo, hi = (0.0,) * d, (1.0,) * d
+    return GroundTruthModel(lo, hi, [(lo, hi, 1.0)],
+                            [(lo, (0.5,) + hi[1:], 0.2), ((0.5,) + lo[1:], hi, 0.8)],
+                            name="split%d" % d)
+
+
+def reference(model, n):
+    # a classifier over n points of the model, its reference cloud
+    return mx.VoronoiClassifier(sample(model, n, 92).points, np.ones(n))
+
+
+# every public entry that takes an (n, d) point array, as a call on x and a
+# d-dimensional model; True marks the ones that also hold x to the model's d
+# (or the reference cloud's), the others take points of any d
+POINT_TAKERS = {
+    "rho_at": (True, lambda model, x: model.rho_at(x)),
+    "mu_at": (True, lambda model, x: model.mu_at(x)),
+    "bayes_classify": (True, bayes_classify),
+    "VoronoiClassifier.__call__": (True, lambda model, x: reference(model, 5)(x)),
+    "VoronoiClassifier.nearest": (True, lambda model, x: reference(model, 5).nearest(x)),
+    "tl1_exact": (True, lambda model, x: mx.tl1_exact(
+        x, np.zeros(len(x)), reference(model, len(x)).points, np.zeros(len(x)))),
+    "transport_bracket": (True, lambda model, x: mx.transport_bracket(x, model)),
+    "concentration_diagnostic": (True, lambda model, x: mx.concentration_diagnostic(
+        SimpleNamespace(points=x, labels=np.zeros(len(x))), model, 0.3)),
+    "build": (False, lambda model, x: build(x, 0.3, KernelProfile("indicator"))),
+    "LabeledCloud": (False, lambda model, x: LabeledCloud(x, np.zeros(len(x)))),
+    "voronoi_extend": (False, lambda model, x: mx.voronoi_extend(
+        SimpleNamespace(points=x), np.zeros(len(x)))),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(POINT_TAKERS))
+def test_point_arrays_are_n_by_d(name, d):
+    # in d = 1 a 1-D array of n coordinates is not n points either: it is
+    # refused, not read as one point or as a column
+    checks_d, call = POINT_TAKERS[name]
+    model = split_box(d)
+    x = sample(model, 6, (90, d)).points
+    call(model, x)
+    bad = [x[:, 0], x[None]]
+    if checks_d:
+        bad += [np.hstack([x, x])] + ([x[:, :1]] if d > 1 else [])
+    for b in bad:
+        with pytest.raises(ValidationError):
+            call(model, b)
+

@@ -1,7 +1,8 @@
 """Every public top-level name of the package is reached by something other
 than its own definition and its unit tests: the package itself, the
-benchmark, or the acceptance scoreboard. Every name the benchmark's span
-tracer rebinds resolves to a callable in the package."""
+benchmark, or the acceptance scoreboard; the allowlist of exceptions holds
+only names that are defined and still unreached. Every name the benchmark's
+span tracer rebinds resolves to a callable in the package."""
 
 import ast
 import importlib.util
@@ -49,6 +50,9 @@ def test_every_public_name_is_reached():
     unreached = sorted("%s.%s" % (defined[name], name)
                        for name in set(defined) - used - ALLOWED)
     assert not unreached, unreached
+    # an allowed name that is now reached, or no longer defined, leaves the list
+    stale = sorted(ALLOWED - (set(defined) - used))
+    assert not stale, stale
 
 
 def test_bench_span_targets_resolve():
