@@ -43,12 +43,17 @@ def json_value(kind):
     return value_of
 
 
-def check_points(x, d, owner):
-    """x as a float (n, d) array, one row per point; any other shape is a ValidationError."""
+def check_points(x, d=None, owner=None):
+    """x as a float (n, d) array of finite coordinates, one row per point;
+    d None takes any d. Any other shape, or a NaN or infinite coordinate, is
+    a ValidationError, whose message names owner for a wrong d."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != d:
-        got = "d = %d" % x.shape[1] if x.ndim == 2 else "shape %s" % (x.shape,)
-        raise ValidationError("%s has d = %d, points have %s" % (owner, d, got))
+    if x.ndim != 2:
+        raise ValidationError("points must be an (n, d) array, got shape %s" % (x.shape,))
+    if d is not None and x.shape[1] != d:
+        raise ValidationError("%s has d = %d, points have d = %d" % (owner, d, x.shape[1]))
+    if not np.isfinite(x).all():
+        raise ValidationError("points must have finite coordinates")
     return x
 
 

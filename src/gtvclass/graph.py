@@ -13,21 +13,21 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import ValidationError
+from . import ValidationError, check_points
 from . import kernels
 
 
 class NeighborGraph:
-    # ei, ej: (m,) int64 with ei < ej, sorted by ei then ej; node numbers
-    # are the input order of the points
+    # ei, ej: (m,) int32 with ei < ej, sorted by ei then ej; node numbers
+    # are the input order of the points, so n < 2^31
     # w: (m,) eta_eps weights, all positive; every pair with a positive
     # weight is an edge
     # degree_sums: (n,) sum_j eta_eps(x_i - x_j) including the j = i term
     def __init__(self, n, eps, ei, ej, w, degree_sums):
         self.n = int(n)
         self.eps = float(eps)
-        self.ei = np.asarray(ei, dtype=np.int64)
-        self.ej = np.asarray(ej, dtype=np.int64)
+        self.ei = np.asarray(ei, dtype=np.int32)
+        self.ej = np.asarray(ej, dtype=np.int32)
         self.w = np.asarray(w, dtype=float)
         self.degree_sums = np.asarray(degree_sums, dtype=float)
 
@@ -38,10 +38,9 @@ class NeighborGraph:
 
 def build(cloud, eps, profile):
     """Build the eps-neighborhood graph of a LabeledCloud or an (n, d) array."""
-    points = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, dtype=float)
-    if points.ndim != 2 or points.size == 0:
-        raise ValidationError("need a nonempty (n, d) array of points, got shape %s"
-                              % (points.shape,))
+    points = check_points(cloud.points if hasattr(cloud, "points") else cloud)
+    if points.size == 0:
+        raise ValidationError("need a nonempty (n, d) array of points")
     if not (0 < eps < np.inf):
         raise ValidationError("eps must be positive and finite")
     n, d = points.shape
@@ -66,6 +65,8 @@ def build(cloud, eps, profile):
     deg = (np.bincount(gi, weights=w, minlength=n)
            + np.bincount(gj, weights=w, minlength=n)).astype(float)
     deg += 1.0 / eps ** d   # diagonal term eta_eps(0), eta(0) = 1
+    # NeighborGraph narrows gi, gj to int32 only now: numpy casts int32
+    # indices to intp on every gather, so the gathers above stay int64
     return NeighborGraph(n, eps, gi, gj, w, deg)
 
 

@@ -16,7 +16,6 @@ groundtruth.bayes_tv sums from the model's cells.
 from bisect import bisect_left
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
@@ -54,10 +53,10 @@ class VoronoiClassifier:
     """
 
     def __init__(self, points, values):
-        points = np.asarray(points, dtype=float)
+        points = check_points(points)
         values = np.asarray(values, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise ValidationError("reference cloud must be a nonempty (n, d) array")
+        if points.shape[0] == 0:
+            raise ValidationError("reference cloud must be nonempty")
         if values.shape != (points.shape[0],):
             raise ValidationError("need one value per reference point")
         if not np.all((values == 0) | (values == 1)):
@@ -132,9 +131,9 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     taken as a permutation, so this is the genuine TL1 distance between the
     two elements. Unequal sizes (general couplings) are out of scope.
     """
-    xa, xb, fa, fb = (np.asarray(v, dtype=float) for v in (points_a, points_b, f_a, f_b))
-    if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
-        raise ValidationError("points must be (n, d) arrays with one d")
+    xa = check_points(points_a)
+    xb = check_points(points_b, xa.shape[1], "first point set")
+    fa, fb = np.asarray(f_a, dtype=float), np.asarray(f_b, dtype=float)
     if xa.shape[0] != xb.shape[0]:
         raise ValidationError("equal point counts required; unequal sizes are out of scope")
     if xa.shape[0] == 0:
@@ -144,6 +143,8 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     n = xa.shape[0]
     if n > ASSIGNMENT_BUDGET:
         raise ValidationError("assignment budget is n <= %d" % ASSIGNMENT_BUDGET)
+    # imported here: scipy.optimize costs every process about 9 MB, and only TL1 needs it
+    from scipy.optimize import linear_sum_assignment
     disp = cdist(xa, xb)
     cost_mat = disp + np.abs(fa[:, None] - fb[None, :])
     rows, cols = linear_sum_assignment(cost_mat)

@@ -102,11 +102,13 @@ def solve_mincut(graph, labels, lam):
     Terminal arcs carry capacity 1/n toward the node's own label; each
     undirected edge becomes two opposite arcs of capacity lambda*2*w/(n^2 eps),
     so a cut pays exactly the energy of the induced labeling. The flow solver
-    works on int32 capacities: each float capacity c becomes rint(c * scale),
-    scale = (2^31 - 1) / (largest capacity), and is off by at most 0.5/scale
-    in energy units. The labeling returned is the set of nodes reachable from
-    s in the residual of a maximum flow, the unique minimal source side of a
-    minimum cut of the integer network; its energy is recomputed in floats.
+    works on int32 capacities: each float capacity c becomes rint(c * scale)
+    and is off by at most 0.5/scale in energy units. scale is the smaller of
+    the two that map the largest edge arc to 2^30 - 1 and 1/n to 2^31 - 1,
+    so an edge arc's residual c + f <= 2c fits in int32. The labeling
+    returned is the set of nodes reachable from s in the residual of a
+    maximum flow, the unique minimal source side of a minimum cut of the
+    integer network; its energy is recomputed in floats.
 
     The network numbers the nodes in the reverse Cuthill-McKee order of the
     graph, which keeps neighbours close in memory and makes the flow solver
@@ -130,7 +132,7 @@ def solve_mincut(graph, labels, lam):
     indptr = np.zeros(n + 1, np.int32)
     np.cumsum(np.bincount(graph.ei, minlength=n), out=indptr[1:])
     perm = reverse_cuthill_mckee(
-        csr_matrix((np.ones(m, np.int8), graph.ej.astype(np.int32), indptr), shape=(n, n)),
+        csr_matrix((np.ones(m, np.int8), graph.ej, indptr), shape=(n, n)),
         symmetric_mode=False)
     del indptr
     rank = np.empty(n, np.int32)
@@ -143,8 +145,11 @@ def solve_mincut(graph, labels, lam):
     cols = np.concatenate([np.where(one, rank, t), rj, ri])
     del ri, rj
     pair_cap = (2.0 * lam / (n ** 2 * graph.eps)) * graph.w
-    # scipy's maximum_flow saturates silently past int32
-    scale = (2.0 ** 31 - 1.0) / np.max(pair_cap, initial=1.0 / n)
+    # scipy's maximum_flow saturates silently past int32, and an edge arc's
+    # residual c + f reaches 2c, so the largest edge arc maps to 2^30 - 1
+    # (to 2^30 - 1/2 it would round to 2^30, and 2c would overflow)
+    widest = np.max(pair_cap, initial=0.0) * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
+    scale = (2.0 ** 31 - 1.0) / max(widest, 1.0 / n)
     pair_cap = np.rint(pair_cap * scale).astype(np.int32)
     caps = np.concatenate([np.full(n, np.rint((1.0 / n) * scale), np.int32),
                            pair_cap, pair_cap])
@@ -152,8 +157,7 @@ def solve_mincut(graph, labels, lam):
     cap = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
     del rows, cols, caps
     res = maximum_flow(cap, s, t)
-    # arcs with residual capacity; cap - flow can overflow int32 where an
-    # edge carries flow against its direction
+    # arcs with residual capacity cap - flow > 0
     residual = cap > res.flow
     del cap, res
     reach = breadth_first_order(residual, s, directed=True, return_predecessors=False)

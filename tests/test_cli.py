@@ -5,11 +5,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtvclass
 from gtvclass.cli import REPORT_COLUMNS, SweepConfig, main
 from gtvclass import ValidationError
 
@@ -437,6 +440,14 @@ def test_tl1_subcommand(tmp_path, capsys):
         "--out", "c.csv", "--seed", "3")
     assert run(tmp_path, "tl1", "--a", str(tmp_path / "a.csv"),
                "--b", str(tmp_path / "c.csv")) == 2
+
+
+def test_import_leaves_assignment_solver_unloaded():
+    # only tl1_exact needs scipy.optimize, and it imports it when called
+    env = dict(os.environ, PYTHONPATH=str(Path(gtvclass.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys, gtvclass.cli; "
+                    "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize loaded'"],
+                   env=env, check=True)
 
 
 def test_sigma_subcommand(tmp_path, capsys):

@@ -77,8 +77,13 @@ def test_build_matches_direct_double_loop():
             g = gr.build(pts, eps, prof)
             ei, ej, w, deg = direct_build(pts, eps, prof)
             assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
+            assert g.ei.dtype == g.ej.dtype == np.int32
             assert np.allclose(g.w, w, rtol=1e-12, atol=0)
             assert np.allclose(g.degree_sums, deg, rtol=1e-12, atol=0)
+    # node numbers are stored as int32 whatever the width they come in
+    h = gr.NeighborGraph(g.n, g.eps, g.ei.astype(np.int64), g.ej.astype(np.int64),
+                         g.w, g.degree_sums)
+    assert h.ei.dtype == h.ej.dtype == np.int32
 
 
 def all_pairs_edges(points, eps, profile):

@@ -7,7 +7,7 @@ import pytest
 from gtvclass import ValidationError
 from gtvclass import graph as gr
 from gtvclass import solver as sv
-from gtvclass.groundtruth import GroundTruthModel, quadrant_model, sample
+from gtvclass.groundtruth import GroundTruthModel, noisy_halfplane_model, quadrant_model, sample
 from gtvclass.kernels import KernelProfile
 from gtvclass.solver import SolverConfig
 from test_graph import divergence
@@ -131,7 +131,10 @@ def networkx_min_source_side(graph, y, lam):
         caps[i, "t"] = (1.0 - y[i]) / n
     for i, j, w in zip(graph.ei.tolist(), graph.ej.tolist(), graph.w):
         caps[i, j] = caps[j, i] = c * w
-    scale = (2.0 ** 31 - 1.0) / max(caps.values())
+    # the largest edge arc maps to 2^30 - 1, since its residual reaches twice
+    # its capacity, or 1/n to 2^31 - 1, whichever is smaller
+    widest = np.max(c * graph.w, initial=0.0) * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
+    scale = (2.0 ** 31 - 1.0) / max(widest, 1.0 / n)
     G = nx.DiGraph()
     for (a, b), cap in caps.items():
         G.add_edge(a, b, capacity=int(np.rint(cap * scale)))
@@ -174,6 +177,28 @@ def test_mincut_matches_networkx_oracle():
     assert nontrivial >= 8
 
 
+@pytest.mark.parametrize("n, seed, eps", [
+    (500, 1, 0.5 * np.sqrt(np.log(500) / 500)),   # r = 4.9
+    (500, 2, 0.5 * np.sqrt(np.log(500) / 500)),
+    # r = 0.57: an edge arc scaled to exactly 2^30 - 1/2 would round to 2^30
+    (150, 2, 150 ** (-1 / 3)),
+])
+def test_mincut_exact_when_edge_arcs_pass_half_a_terminal_arc(n, seed, eps):
+    # indicator kernel and lambda = n^(-1/4) on the noisy half-plane: an edge
+    # arc is r = 2 lambda / (n eps^3) times a terminal arc, and once r > 1/2
+    # an edge arc's residual c + f could pass 2^31 - 1 and stop the flow short
+    cloud = sample(noisy_halfplane_model(), n, (seed, n))
+    lam = n ** -0.25
+    g = gr.build(cloud, eps, KernelProfile("indicator"))
+    assert 2.0 * lam / (n * g.eps ** 3) > 0.5
+    mc = sv.solve_mincut(g, cloud.labels, lam)
+    u, cut_value = networkx_min_source_side(g, cloud.labels, lam)
+    assert np.array_equal(mc.u_binary, u)
+    assert abs(cut_value - mc.energy_binary) <= mc.gap
+    # a second witness: the minimum lies below both constants' energies
+    assert mc.energy_binary < min(sv.energy(g, cloud.labels, lam, np.full(n, v)) for v in (0, 1))
+
+
 def test_mincut_gap_bounds_quantization_excess():
     # smooth kernels at profile scale 0.05, i.e. at 0.05 eps and
     # 0.05^(d+1) lambda: many arcs round to zero in int32
@@ -189,7 +214,7 @@ def test_mincut_gap_bounds_quantization_excess():
         bf = sv.solve_brute_force(g, y, lam)
         assert 0.0 < mc.gap and mc.energy_binary - bf.energy_binary <= mc.gap
     # a tie made by rounding: the edge costs 1e-12 less than the label it
-    # saves, but both round to 2^31 - 1, and the minimal source side is empty
+    # saves, but both round to 2^30 - 1, and the minimal source side is empty
     for shape in ("gaussian", "exponential"):
         g = gr.build(np.array([[0.0], [0.03]]), 0.05, KernelProfile(shape))
         y = np.array([1, 0])
