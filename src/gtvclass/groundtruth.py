@@ -156,12 +156,12 @@ class GroundTruthModel:
 
 
 class LabeledCloud:
-    """Sample points with binary labels."""
+    """Sample points, an (n, d) array of finite coordinates, with binary labels."""
 
     def __init__(self, points, labels):
-        self.points = np.asarray(points, dtype=float)
+        self.points = check_points(points)
         self.labels = np.asarray(labels)
-        if self.points.ndim != 2 or self.points.shape[0] != self.labels.shape[0]:
+        if self.points.shape[0] != self.labels.shape[0]:
             raise ValidationError("points must be (n, d) with one label per point")
         if not np.all(np.isin(self.labels, (0, 1))):
             raise ValidationError("labels must be exactly 0 or 1")
@@ -347,7 +347,4 @@ def load_cloud(path):
                           delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError as e:
         raise ValidationError("malformed dataset row: %s" % e) from None
-    points = np.ascontiguousarray(rows["x"])
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("malformed dataset row: non-finite coordinate")
-    return LabeledCloud(points, rows["y"])
+    return LabeledCloud(np.ascontiguousarray(rows["x"]), rows["y"])

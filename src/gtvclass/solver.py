@@ -102,10 +102,10 @@ def solve_mincut(graph, labels, lam):
     Terminal arcs carry capacity 1/n toward the node's own label; each
     undirected edge becomes two opposite arcs of capacity lambda*2*w/(n^2 eps),
     so a cut pays exactly the energy of the induced labeling. The flow solver
-    works on int32 capacities: each float capacity c becomes rint(c * scale)
+    works on int32 capacities: each float capacity x becomes rint(x * scale)
     and is off by at most 0.5/scale in energy units. scale is the smaller of
     the two that map the largest edge arc to 2^30 - 1 and 1/n to 2^31 - 1,
-    so an edge arc's residual c + f <= 2c fits in int32. The labeling
+    so an edge arc's residual x + f <= 2x fits in int32. The labeling
     returned is the set of nodes reachable from s in the residual of a
     maximum flow, the unique minimal source side of a minimum cut of the
     integer network; its energy is recomputed in floats.
@@ -115,16 +115,20 @@ def solve_mincut(graph, labels, lam):
     faster. The labeling is mapped back to the graph's numbering; being the
     minimal source side, it does not depend on the node order.
 
-    gap bounds energy_binary minus the true minimum (up to floating-point
-    rounding of the energy sums). The integer cut returned is no dearer than
-    the cut of a true minimizer, so their float energies differ by at most
-    the rounding of the arcs the two cuts cross, 0.5/scale each: the cut
-    returned crosses one terminal arc per node unequal to its label and one
-    arc per edge it separates, a true minimizer's at most n + m arcs.
+    gap is energy_binary minus primal-dual's dual bound at the flow's own
+    dual point, plus an allowance for the floating-point rounding of the
+    energy and bound sums: q_e is minus the flow from ei to ej over the edge
+    arc's float capacity, clipped to [-1, 1]. Weak duality makes gap an
+    upper bound on energy_binary minus the true minimum, as computed in
+    floats, whatever the flow solver returned, since it never trusts the
+    integer arithmetic. An exact maximum flow gives a gap of the order of
+    the capacity rounding, 0.5/scale per arc, plus the allowance.
     """
     y = _check_labels(graph, labels)
     lam = _check_lambda(lam)
     n, m = graph.n, graph.m
+    if m == 0:   # the labels cost nothing, as in solve_primal_dual
+        return SolveResult(y.copy(), y, 0.0, 0.0, iters=0, gap=0.0, method="mincut")
     s, t = n, n + 1
     # perm lists the nodes in network order; rank[i] is node i's number there.
     # The edges are sorted by (ei, ej) and unique, so they are already the
@@ -144,11 +148,12 @@ def solve_mincut(graph, labels, lam):
     rows = np.concatenate([np.where(one, s, rank), ri, rj])
     cols = np.concatenate([np.where(one, rank, t), rj, ri])
     del ri, rj
-    pair_cap = (2.0 * lam / (n ** 2 * graph.eps)) * graph.w
+    c = lam / (n ** 2 * graph.eps)   # _pd_operator's constant: 2 c w per arc
+    pair_cap = 2.0 * c * graph.w
     # scipy's maximum_flow saturates silently past int32, and an edge arc's
-    # residual c + f reaches 2c, so the largest edge arc maps to 2^30 - 1
-    # (to 2^30 - 1/2 it would round to 2^30, and 2c would overflow)
-    widest = np.max(pair_cap, initial=0.0) * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
+    # residual reaches twice its capacity, so the largest edge arc maps to
+    # 2^30 - 1 (to 2^30 - 1/2 it would round to 2^30, and twice that overflows)
+    widest = pair_cap.max() * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
     scale = (2.0 ** 31 - 1.0) / max(widest, 1.0 / n)
     pair_cap = np.rint(pair_cap * scale).astype(np.int32)
     caps = np.concatenate([np.full(n, np.rint((1.0 / n) * scale), np.int32),
@@ -156,17 +161,40 @@ def solve_mincut(graph, labels, lam):
     del pair_cap
     cap = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
     del rows, cols, caps
-    res = maximum_flow(cap, s, t)
-    # arcs with residual capacity cap - flow > 0
-    residual = cap > res.flow
-    del cap, res
-    reach = breadth_first_order(residual, s, directed=True, return_predecessors=False)
-    del residual
+    flow = maximum_flow(cap, s, t).flow
+    # scipy returns the flow on its own copy of cap with a zero-capacity
+    # reverse arc added for each arc that has none: here the arcs i -> s, in
+    # column s, and t -> i, in row t. Without those its entries line up with
+    # cap's; scipy does not document this layout, so it is checked.
+    end = flow.indptr[t]
+    keep = flow.indices[:end] != s
+    if not np.array_equal(flow.indices[:end][keep], cap.indices):
+        raise RuntimeError("scipy's maximum_flow returned an unexpected flow layout")
+    f = flow.data[:end][keep]
+    del flow, keep
+    # the flow from ei to ej on each edge (read along rows in edge order),
+    # and the residual network
+    fe = csr_matrix((f, cap.indices, cap.indptr), shape=cap.shape)[
+        rank[graph.ei], rank[graph.ej]].A1
+    cap.data -= f
+    del f
+    cap.eliminate_zeros()
+    reach = breadth_first_order(cap, s, directed=True, return_predecessors=False)
+    del cap
     u = np.zeros(n)
     u[perm[reach[reach < n]]] = 1.0
-    cut_arcs = np.count_nonzero(u != y) + np.count_nonzero(u[graph.ei] != u[graph.ej])
-    gap = (cut_arcs + n + m) * 0.5 / scale
     eb = energy(graph, labels, lam, u)
+    q = np.divide(fe, scale * (2.0 * c * graph.w), out=np.zeros(m), where=fe != 0)
+    del fe
+    _, KT = _pd_operator(graph, c)
+    gap = eb - _dual_bound(y, -2.0 * (KT @ np.clip(q, -1.0, 1.0, out=q)))
+    # the sums behind eb, K^T q and the bound each have under k = n + m + 4
+    # terms whose magnitudes add up to at most eb + 1 + 4 c sum(w), so
+    # rounding moves each by at most k eps/2 times that. 2 k eps times it
+    # covers those three and the other energy that an excess is measured
+    # against, so gap bounds the excess as computed in floats too.
+    k = n + m + 4
+    gap += 2.0 * k * np.finfo(float).eps * (eb + 1.0 + 4.0 * c * float(graph.w.sum()))
     return SolveResult(u.copy(), u, eb, eb, iters=0, gap=gap, method="mincut")
 
 
@@ -209,6 +237,14 @@ def certify_overfit(graph, lam):
     s = (2.0 * _check_lambda(lam) / (graph.eps * graph.n)) * graph.degree_sums
     smax = float(s.max())
     return smax < 1.0, 1.0 - smax
+
+
+def _dual_bound(y, a):
+    """Weak-duality lower bound on the minimum energy from a = 2 K^T q with
+    q in [-1, 1]^m: the minimum of <a, u> + (1/n) sum |u_i - y_i| over
+    u in [0, 1]^n, which splits per node, an O(n) read."""
+    n = y.size
+    return float(np.sum(np.minimum(y / n, a + (1.0 - y) / n)))
 
 
 def _pd_operator(graph, c):
@@ -285,9 +321,6 @@ def solve_primal_dual(graph, labels, config):
     def score(v, kv):
         return (2.0 / sigma) * float(np.abs(kv).sum()) + float(np.abs(v - y).mean())
 
-    def bound(kv):
-        return float(np.sum(np.minimum(y / n, kv / tau + (1.0 - y) / n)))
-
     u, q = y.copy(), np.zeros(m)
     ku, kq = K @ u, np.zeros(n)   # sigma K u and 2 tau K^T q
     best_e, best_u, best_dual = e0, u.copy(), 0.0
@@ -312,12 +345,12 @@ def solve_primal_dual(graph, labels, config):
             e = score(uh, K @ uh)
             if e < best_e:
                 best_e, best_u = e, uh
-            best_dual = max(best_dual, bound(kqt))
+            best_dual = max(best_dual, _dual_bound(y, kqt / tau))
             total = 0.0
             for k in range(1, len(blocks) + 1):
                 total = total + blocks[-k]
                 if k in windows:
-                    best_dual = max(best_dual, bound(total / (10 * k)))
+                    best_dual = max(best_dual, _dual_bound(y, total / (10 * k) / tau))
             if best_e - best_dual <= config.tol * best_e:
                 break
         # over-relaxation; the K and K^T products follow by linearity

@@ -436,8 +436,8 @@ DATASET_CASES = {
     "crlf": ("x0,x1,y\r\n0.5,0.25,1\r\n-3e-5,1e300,0\r\n", True, True),
     "spaces": ("x0,x1,y\n 0.5 , 0.25 , 1 \n-3e-5,1e300,0\n", True, True),
     "quoted": ('x0,x1,y\n"0.5","0.25","1"\n-3e-5,1e300,0\n', True, True),
-    "nan": ("x0,x1,y\n0.5,nan,1\n", False, True),
-    "inf": ("x0,x1,y\n-inf,0.25,1\n", False, True),
+    "nan": ("x0,x1,y\n0.5,nan,1\n", False, False),
+    "inf": ("x0,x1,y\n-inf,0.25,1\n", False, False),
     "extra-field": ("x0,x1,y\n0.5,0.25,1,junk\n", False, True),
     "underscore": ("x0,x1,y\n1_0,0.25,1\n", False, True),
     "quoted-header": ('"x0","y"\n0.5,1\n', False, True),

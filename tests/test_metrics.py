@@ -908,10 +908,8 @@ def test_point_arrays_are_n_by_d(name, d):
     for b in bad:
         with pytest.raises(ValidationError):
             call(model, b)
-    # every entry that computes with the points refuses a NaN or infinite
-    # coordinate and says so; LabeledCloud only holds them, and load_cloud
-    # checks its own
-    for v in (np.nan, np.inf, -np.inf) if name != "LabeledCloud" else ():
+    # every entry refuses a NaN or infinite coordinate and says so
+    for v in (np.nan, np.inf, -np.inf):
         b = x.copy()
         b[2, d - 1] = v
         with pytest.raises(ValidationError, match="finite"):

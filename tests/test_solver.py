@@ -118,6 +118,24 @@ def test_mincut_equals_brute_force_on_random_instances():
         bf = sv.solve_brute_force(g, y, lam)
         mc = sv.solve_mincut(g, y, lam)
         assert mc.energy_binary == bf.energy_binary
+        assert mc.energy_binary - bf.energy_binary <= mc.gap
+
+
+def mincut_scale(graph, lam):
+    # the largest edge arc maps to 2^30 - 1, since its residual reaches twice
+    # its capacity, or 1/n to 2^31 - 1, whichever is smaller
+    c = 2.0 * lam / (graph.n ** 2 * graph.eps)
+    widest = np.max(c * graph.w, initial=0.0) * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
+    return (2.0 ** 31 - 1.0) / max(widest, 1.0 / graph.n)
+
+
+def rounding_gap(graph, y, lam, u):
+    # the a-priori bound on what rounding the capacities to integers costs,
+    # valid when the integer maximum flow is right: the cut of u and a true
+    # minimizer's cut cross at most k + n + m arcs, where k counts those of
+    # u's cut, and each arc is off by at most 0.5/scale
+    k = np.count_nonzero(u != y) + np.count_nonzero(u[graph.ei] != u[graph.ej])
+    return (k + graph.n + graph.m) * 0.5 / mincut_scale(graph, lam)
 
 
 def networkx_min_source_side(graph, y, lam):
@@ -131,10 +149,7 @@ def networkx_min_source_side(graph, y, lam):
         caps[i, "t"] = (1.0 - y[i]) / n
     for i, j, w in zip(graph.ei.tolist(), graph.ej.tolist(), graph.w):
         caps[i, j] = caps[j, i] = c * w
-    # the largest edge arc maps to 2^30 - 1, since its residual reaches twice
-    # its capacity, or 1/n to 2^31 - 1, whichever is smaller
-    widest = np.max(c * graph.w, initial=0.0) * ((2.0 ** 31 - 1.0) / (2.0 ** 30 - 1.0))
-    scale = (2.0 ** 31 - 1.0) / max(widest, 1.0 / n)
+    scale = mincut_scale(graph, lam)
     G = nx.DiGraph()
     for (a, b), cap in caps.items():
         G.add_edge(a, b, capacity=int(np.rint(cap * scale)))
@@ -172,7 +187,8 @@ def test_mincut_matches_networkx_oracle():
         u, cut_value = networkx_min_source_side(g, y, lam)
         assert np.array_equal(mc.u_binary, u)
         assert mc.energy_binary == sv.energy(g, y, lam, u)
-        assert abs(cut_value - mc.energy_binary) <= mc.gap
+        assert abs(cut_value - mc.energy_binary) <= rounding_gap(g, y, lam, u)
+        assert 0.0 <= mc.gap <= rounding_gap(g, y, lam, u)
         nontrivial += 0 < mc.u_binary.sum() < n and not np.array_equal(mc.u_binary, y)
     assert nontrivial >= 8
 
@@ -194,9 +210,85 @@ def test_mincut_exact_when_edge_arcs_pass_half_a_terminal_arc(n, seed, eps):
     mc = sv.solve_mincut(g, cloud.labels, lam)
     u, cut_value = networkx_min_source_side(g, cloud.labels, lam)
     assert np.array_equal(mc.u_binary, u)
-    assert abs(cut_value - mc.energy_binary) <= mc.gap
+    assert abs(cut_value - mc.energy_binary) <= rounding_gap(g, cloud.labels, lam, u)
+    assert 0.0 <= mc.gap <= rounding_gap(g, cloud.labels, lam, u)
     # a second witness: the minimum lies below both constants' energies
     assert mc.energy_binary < min(sv.energy(g, cloud.labels, lam, np.full(n, v)) for v in (0, 1))
+
+
+def test_mincut_matches_networkx_oracle_at_random_capacity_ratios():
+    # seeded instances on the noisy half-plane with an edge arc 1 to 5 times
+    # a terminal arc, past the ratio of 1/2 where an int32 residual c + f
+    # could overflow without the 2^30 - 1 scale
+    rng = np.random.Generator(np.random.Philox(28))
+    nontrivial = 0
+    for k in range(12):
+        n, r = int(rng.integers(500, 1001)), float(rng.uniform(1.0, 5.0))
+        eps = float(rng.uniform(0.4, 0.8)) * np.sqrt(np.log(n) / n)
+        cloud = sample(noisy_halfplane_model(), n, (28, k))
+        lam = r * n * eps ** 3 / 2.0
+        g = gr.build(cloud, eps, KernelProfile("indicator"))
+        mc = sv.solve_mincut(g, cloud.labels, lam)
+        u, cut_value = networkx_min_source_side(g, cloud.labels, lam)
+        assert np.array_equal(mc.u_binary, u)
+        assert abs(cut_value - mc.energy_binary) <= rounding_gap(g, cloud.labels, lam, u)
+        assert 0.0 <= mc.gap <= rounding_gap(g, cloud.labels, lam, u)
+        nontrivial += 0 < u.sum() < n and not np.array_equal(u, cloud.labels)
+    assert nontrivial >= 6
+
+
+def test_mincut_gap_bounds_the_excess_of_a_wrong_flow(monkeypatch):
+    # a flow solver that returns half of a maximum flow (rounded toward 0):
+    # the flow fits the capacities but is not maximal, so the cut read from
+    # its residual is not a minimum. The gap reads the same flow, and weak
+    # duality keeps it a bound on the excess whatever the flow solver did.
+    real = sv.maximum_flow
+
+    def half_flow(cap, s, t):
+        res = real(cap, s, t)
+        res.flow.data = (res.flow.data / 2).astype(res.flow.dtype)
+        return res
+
+    monkeypatch.setattr(sv, "maximum_flow", half_flow)
+    rng = np.random.Generator(np.random.Philox(29))
+    wrong = 0
+    for _ in range(40):
+        g, y, lam = random_instance(rng, nmax=14)
+        mc = sv.solve_mincut(g, y, lam)
+        excess = mc.energy_binary - sv.solve_brute_force(g, y, lam).energy_binary
+        assert excess <= mc.gap
+        wrong += excess > 1e-6
+    # the first instance of test_mincut_exact_when_edge_arcs_pass_half_a_terminal_arc
+    n = 500
+    cloud = sample(noisy_halfplane_model(), n, (1, n))
+    lam = n ** -0.25
+    g = gr.build(cloud, 0.5 * np.sqrt(np.log(n) / n), KernelProfile("indicator"))
+    mc = sv.solve_mincut(g, cloud.labels, lam)
+    u, _ = networkx_min_source_side(g, cloud.labels, lam)
+    excess = mc.energy_binary - sv.energy(g, cloud.labels, lam, u)
+    assert 0.01 < excess <= mc.gap
+    assert wrong >= 10
+
+
+def test_mincut_refuses_a_flow_in_another_layout(monkeypatch):
+    # the cut and the gap read the flow entry by entry against the capacity
+    # matrix, so a flow matrix whose rows list the arcs in another order,
+    # with the same entry count, must raise rather than misalign
+    real = sv.maximum_flow
+
+    def reversed_rows(cap, s, t):
+        res = real(cap, s, t)
+        fl = res.flow
+        for a, b in zip(fl.indptr[:-1], fl.indptr[1:]):
+            fl.indices[a:b] = fl.indices[a:b][::-1].copy()
+            fl.data[a:b] = fl.data[a:b][::-1].copy()
+        return res
+
+    monkeypatch.setattr(sv, "maximum_flow", reversed_rows)
+    pts = np.array([[0.0], [0.1], [0.2], [0.3]])
+    g = gr.build(pts, 0.25, KernelProfile("indicator"))
+    with pytest.raises(RuntimeError, match="layout"):
+        sv.solve_mincut(g, np.array([1, 0, 1, 0]), 0.5)
 
 
 def test_mincut_gap_bounds_quantization_excess():
@@ -212,7 +304,10 @@ def test_mincut_gap_bounds_quantization_excess():
         lam = 0.05 ** (d + 1) * float(10.0 ** rng.uniform(-3, 1))
         mc = sv.solve_mincut(g, y, lam)
         bf = sv.solve_brute_force(g, y, lam)
-        assert 0.0 < mc.gap and mc.energy_binary - bf.energy_binary <= mc.gap
+        excess = mc.energy_binary - bf.energy_binary
+        a_priori = rounding_gap(g, y, lam, mc.u_binary)
+        assert excess <= mc.gap
+        assert 0.0 < a_priori and excess <= a_priori
     # a tie made by rounding: the edge costs 1e-12 less than the label it
     # saves, but both round to 2^30 - 1, and the minimal source side is empty
     for shape in ("gaussian", "exponential"):
@@ -224,6 +319,7 @@ def test_mincut_gap_bounds_quantization_excess():
         assert np.array_equal(mc.u_binary, [0.0, 0.0])
         assert np.array_equal(bf.u_binary, [1.0, 0.0])
         assert 0.0 < mc.energy_binary - bf.energy_binary <= mc.gap
+        assert mc.energy_binary - bf.energy_binary <= rounding_gap(g, y, lam, mc.u_binary)
 
 
 def test_mincut_nonbinary_labels_rejected():
