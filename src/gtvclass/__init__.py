@@ -57,6 +57,29 @@ def check_points(x, d=None, owner=None):
     return x
 
 
+def check_labels(y, n):
+    """y as a float (n,) array, once it holds one value 0 or 1 per point,
+    given as int, float or bool. Any other shape or value (0.5, 2, NaN, the
+    string "1") is a ValidationError: the values are checked as given, so a
+    string never passes for the number it spells."""
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise ValidationError("labels must be an (n,) array with n = %d, got shape %s"
+                              % (n, y.shape))
+    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    return y.astype(float)
+
+
+def check_positive(value, name):
+    """value as a float, once it is positive and finite; anything else, NaN
+    included, is a ValidationError. A scale such as eps or lambda outside
+    (0, inf) gives false energies and certificates, not an error."""
+    if not (0 < value < np.inf):
+        raise ValidationError("%s must be positive and finite" % name)
+    return float(value)
+
+
 def read_text(path):
     """The text of a UTF-8 file. Bytes that do not decode are malformed
     input: a ValidationError, not a UnicodeDecodeError."""

@@ -26,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import ValidationError, check_keys, json_value, read_text
+from . import ValidationError, check_keys, check_labels, json_value, read_text
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
                           sample, save_cloud)
@@ -100,15 +100,6 @@ def _int_from(lo, from_json=False):
     return integer
 
 
-def _tolerance(text):
-    """--tol: a number strictly between 0 and 1, for either method (library
-    callers get the same check from SolverConfig)."""
-    value = float(text)
-    if not 0 < value < 1:   # NaN fails too
-        raise argparse.ArgumentTypeError("%r is not in (0, 1)" % text)
-    return value
-
-
 def _ints_from(lo):
     def integers(value):
         if not isinstance(value, list) or not value:
@@ -124,11 +115,7 @@ def _read(raw, kinds, where, **defaults):
 
 
 def _load_solution(path, cloud):
-    ub = _field(_load_json(path), "u_binary",
-                lambda v: np.asarray(v, dtype=float), path)
-    if ub.shape != (cloud.n,):
-        raise ValidationError("solution length does not match the dataset")
-    return ub
+    return _field(_load_json(path), "u_binary", lambda v: check_labels(v, cloud.n), path)
 
 
 def _rule_value(rule, n, of, *args):
@@ -352,14 +339,14 @@ def _solve_common(args):
 
 
 def _cmd_solve(args):
+    # the options are checked for either method, before the data are read
+    config = SolverConfig(args.lam, max_iters=args.max_iters, tol=args.tol)
     cloud, g = _solve_common(args)
-    cert, margin = certify_overfit(g, args.lam)
+    cert, margin = certify_overfit(g, config.lambda_)
     if args.method == "mincut":
-        res = solve_mincut(g, cloud.labels, args.lam)
+        res = solve_mincut(g, cloud.labels, config.lambda_)
     else:
-        res = solve_primal_dual(g, cloud.labels,
-                                SolverConfig(args.lam, max_iters=args.max_iters,
-                                             tol=args.tol))
+        res = solve_primal_dual(g, cloud.labels, config)
     _emit_json({
         "n": cloud.n, "eps": args.eps, "lambda": args.lam,
         "kernel": args.kernel, "method": res.method, "iters": res.iters,
@@ -515,8 +502,9 @@ def _build_parser():
         if extra:
             sp.add_argument("--method", choices=("pd", "mincut"),
                             default="mincut")
-            sp.add_argument("--max-iters", type=_int_from(0), default=MAX_ITERS)
-            sp.add_argument("--tol", type=_tolerance, default=TOL)
+            # plain numbers: SolverConfig checks them, for either method
+            sp.add_argument("--max-iters", type=int, default=MAX_ITERS)
+            sp.add_argument("--tol", type=float, default=TOL)
 
     sp = add_parser("sweep", _cmd_sweep, help="run a regime sweep from a JSON config")
     sp.add_argument("--config", required=True)

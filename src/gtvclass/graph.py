@@ -9,11 +9,11 @@ dual as one value per edge.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import ValidationError, check_points
+from . import ValidationError, check_points, check_positive
 from . import kernels
 
 
@@ -41,8 +41,7 @@ def build(cloud, eps, profile):
     points = check_points(cloud.points if hasattr(cloud, "points") else cloud)
     if points.size == 0:
         raise ValidationError("need a nonempty (n, d) array of points")
-    if not (0 < eps < np.inf):
-        raise ValidationError("eps must be positive and finite")
+    check_positive(eps, "eps")
     n, d = points.shape
     # the k-d tree rounds distances its own way; the margin only widens the
     # candidate set, and w > 0 below decides which pairs become edges
@@ -82,8 +81,16 @@ def gtv(graph, u):
         np.sum(graph.w * np.abs(u[graph.ei] - u[graph.ej])))
 
 
+def _adjacency(graph):
+    """The graph's edges as an n x n CSR matrix of ones, one entry per edge
+    i < j. They are sorted by (ei, ej) and unique, so they are already the
+    rows of a canonical CSR matrix: row i holds the ej of its edges."""
+    indptr = np.zeros(graph.n + 1, np.int32)
+    np.cumsum(np.bincount(graph.ei, minlength=graph.n), out=indptr[1:])
+    return csr_matrix((np.ones(graph.m, np.int8), graph.ej, indptr),
+                      shape=(graph.n, graph.n))
+
+
 def num_components(graph):
-    adj = coo_matrix((np.ones(graph.m), (graph.ei, graph.ej)),
-                     shape=(graph.n, graph.n))
-    ncomp, _ = connected_components(adj, directed=False)
+    ncomp, _ = connected_components(_adjacency(graph), directed=False)
     return int(ncomp)

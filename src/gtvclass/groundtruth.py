@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ValidationError, check_keys, check_points, json_value, read_text
+from . import ValidationError, check_keys, check_labels, check_points, json_value, read_text
 
 
 class GroundTruthModel:
@@ -160,12 +160,7 @@ class LabeledCloud:
 
     def __init__(self, points, labels):
         self.points = check_points(points)
-        self.labels = np.asarray(labels)
-        if self.points.shape[0] != self.labels.shape[0]:
-            raise ValidationError("points must be (n, d) with one label per point")
-        if not np.all(np.isin(self.labels, (0, 1))):
-            raise ValidationError("labels must be exactly 0 or 1")
-        self.labels = self.labels.astype(np.int64)
+        self.labels = check_labels(labels, self.n).astype(np.int64)
 
     @property
     def n(self):

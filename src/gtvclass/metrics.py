@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ValidationError, check_points
+from . import ValidationError, check_labels, check_points, check_positive
 from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
@@ -54,15 +54,10 @@ class VoronoiClassifier:
 
     def __init__(self, points, values):
         points = check_points(points)
-        values = np.asarray(values, dtype=float)
         if points.shape[0] == 0:
             raise ValidationError("reference cloud must be nonempty")
-        if values.shape != (points.shape[0],):
-            raise ValidationError("need one value per reference point")
-        if not np.all((values == 0) | (values == 1)):
-            raise ValidationError("node values must be binary")
         self.points = points
-        self.values = values
+        self.values = check_labels(values, points.shape[0])
         self._tree = cKDTree(points)
 
     def nearest(self, x):
@@ -281,8 +276,7 @@ def concentration_diagnostic(cloud, model, eps):
     mu(x) exactly and is expected to shrink like sqrt(log n / (n eps^d)) for
     genuinely random labels.
     """
-    if not (0 < eps < np.inf):
-        raise ValidationError("eps must be positive and finite")
+    check_positive(eps, "eps")
     resid = model.mu_at(cloud.points) - np.asarray(cloud.labels, dtype=float)
     keys, weights, n_nodes = _tent_partition(cloud.points, model.lo, eps)
     acc = np.zeros(n_nodes)

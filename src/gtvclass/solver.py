@@ -15,27 +15,27 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, maximum_flow,
                                   reverse_cuthill_mckee)
 
-from . import ValidationError
-from .graph import gtv
-
-
-def _check_lambda(lam):
-    # any other lambda gives false energies and certificates, not an error
-    if not (0 < lam < np.inf):
-        raise ValidationError("lambda must be positive and finite")
-    return float(lam)
+from . import ValidationError, check_labels, check_positive
+from .graph import _adjacency, gtv
 
 
 MAX_ITERS, TOL = 20000, 1e-7   # primal-dual defaults, the CLI's too
 
 
 class SolverConfig:
+    """The solver's options, checked here once for either method: lambda
+    positive and finite, max_iters an integer >= 0 (not a bool), tol in
+    (0, 1)."""
+
     def __init__(self, lambda_, max_iters=MAX_ITERS, tol=TOL):
         # the dual bound is at least 0, so gap <= energy: with tol >= 1 the
         # stop rule would pass at its first check and certify nothing
         if not (0 < tol < 1):
             raise ValidationError("tol must lie in (0, 1)")
-        self.lambda_ = _check_lambda(lambda_)
+        if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
+                or max_iters < 0):
+            raise ValidationError("max_iters must be an integer >= 0, got %r" % (max_iters,))
+        self.lambda_ = check_positive(lambda_, "lambda")
         self.max_iters = int(max_iters)
         self.tol = float(tol)
 
@@ -53,28 +53,18 @@ class SolveResult:
         self.converged = converged
 
 
-def _check_labels(graph, labels):
-    y = np.asarray(labels)
-    if y.shape != (graph.n,):
-        raise ValidationError("labels have wrong length")
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValidationError("labels must be binary")
-    return y.astype(float)
-
-
 def energy(graph, labels, lam, u):
+    """E(u); gtv refuses a u of the wrong shape."""
+    y = check_labels(labels, graph.n)
     u = np.asarray(u, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if u.shape != (graph.n,) or y.shape != (graph.n,):
-        raise ValidationError("shape mismatch")
     return lam * gtv(graph, u) + float(np.abs(u - y).mean())
 
 
 def solve_brute_force(graph, labels, lam):
     """Exhaustive minimum over u in {0,1}^n; ties broken by the
     lexicographically smallest u. Refused above n = 20."""
-    y = _check_labels(graph, labels)
-    lam = _check_lambda(lam)
+    y = check_labels(labels, graph.n)
+    lam = check_positive(lam, "lambda")
     n = graph.n
     if n > 20:
         raise ValidationError("brute force refused for n > 20")
@@ -124,27 +114,20 @@ def solve_mincut(graph, labels, lam):
     integer arithmetic. An exact maximum flow gives a gap of the order of
     the capacity rounding, 0.5/scale per arc, plus the allowance.
     """
-    y = _check_labels(graph, labels)
-    lam = _check_lambda(lam)
+    y = check_labels(labels, graph.n)
+    lam = check_positive(lam, "lambda")
     n, m = graph.n, graph.m
     if m == 0:   # the labels cost nothing, as in solve_primal_dual
         return SolveResult(y.copy(), y, 0.0, 0.0, iters=0, gap=0.0, method="mincut")
     s, t = n, n + 1
-    # perm lists the nodes in network order; rank[i] is node i's number there.
-    # The edges are sorted by (ei, ej) and unique, so they are already the
-    # rows of a canonical CSR matrix: row i holds the ej of its edges.
-    indptr = np.zeros(n + 1, np.int32)
-    np.cumsum(np.bincount(graph.ei, minlength=n), out=indptr[1:])
-    perm = reverse_cuthill_mckee(
-        csr_matrix((np.ones(m, np.int8), graph.ej, indptr), shape=(n, n)),
-        symmetric_mode=False)
-    del indptr
+    # perm lists the nodes in network order; rank[i] is node i's number there
+    perm = reverse_cuthill_mckee(_adjacency(graph), symmetric_mode=False)
     rank = np.empty(n, np.int32)
     rank[perm] = np.arange(n, dtype=np.int32)
     ri, rj = rank[graph.ei], rank[graph.ej]
     # one terminal arc per node, s -> i if y_i = 1 and i -> t if y_i = 0;
     # the other terminal arc has capacity 0 and is left out
-    one = y == 1.0
+    one = y.astype(bool)
     rows = np.concatenate([np.where(one, s, rank), ri, rj])
     cols = np.concatenate([np.where(one, rank, t), rj, ri])
     del ri, rj
@@ -208,7 +191,7 @@ def binarize(graph, labels, lam, u):
     candidates are scored at once by prefix sums over threshold indices.
     """
     u = np.asarray(u, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    y = check_labels(labels, graph.n)
     if u.shape != (graph.n,):
         raise ValidationError("node function has wrong length")
     thresholds = np.unique(np.concatenate([u, [0.5]]))
@@ -234,7 +217,7 @@ def binarize(graph, labels, lam, u):
 def certify_overfit(graph, lam):
     """Dual bound s_i = (2 lambda/(eps n)) sum_j eta_eps(x_i - x_j), diagonal
     included. max s_i < 1 guarantees the unique minimizer is the labels."""
-    s = (2.0 * _check_lambda(lam) / (graph.eps * graph.n)) * graph.degree_sums
+    s = (2.0 * check_positive(lam, "lambda") / (graph.eps * graph.n)) * graph.degree_sums
     smax = float(s.max())
     return smax < 1.0, 1.0 - smax
 
@@ -291,7 +274,7 @@ def solve_primal_dual(graph, labels, config):
     q = 0) is kept. gap is energy_relaxed minus it, and converged means
     gap <= tol * energy_relaxed: a certified gap.
     """
-    y = _check_labels(graph, labels)
+    y = check_labels(labels, graph.n)
     lam = config.lambda_
     n, m = graph.n, graph.m
     e0 = energy(graph, labels, lam, y)

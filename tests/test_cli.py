@@ -313,8 +313,13 @@ BAD_INPUTS = {
                                             "--lambda", "0.01", "--method", method,
                                             "--tol", value]
        for method in ("pd", "mincut")
-       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"), ("seven", "7"),
-                           ("zero", "0"), ("text", "abc"))},
+       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"), ("two", "2"),
+                           ("seven", "7"), ("zero", "0"), ("text", "abc"))},
+    **{"solve-%s-max-iters-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps",
+                                                  "0.3", "--lambda", "0.01", "--method",
+                                                  method, "--max-iters", value]
+       for method in ("pd", "mincut")
+       for name, value in (("negative", "-1"), ("fraction", "2.7"), ("bool", "True"))},
     "plot-regime-no-report": ["plot", "--data", "{d}/d.csv", "--regime", "nonsense"],
 }
 

@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,3 +274,12 @@ def test_num_components():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0], [9.0, 0.0]])
     g = gr.build(pts, 0.2, KernelProfile("indicator"))
     assert gr.num_components(g) == 3
+    # against networkx on sparse random graphs, isolated nodes and the
+    # edgeless graph included
+    rng = np.random.Generator(np.random.Philox(31))
+    for n, eps in ((1, 0.1), (40, 0.01), (60, 0.08), (300, 0.05), (500, 0.12)):
+        g = gr.build(rng.random((n, 2)), eps, KernelProfile("indicator"))
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(zip(g.ei.tolist(), g.ej.tolist()))
+        assert gr.num_components(g) == nx.number_connected_components(ref)

@@ -1,6 +1,7 @@
 """Risk, TL1, transport, concentration, and continuum-oracle tests."""
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +20,10 @@ from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud, asymmetric_mod
                                   bayes_classify, bayes_risk, halfplane_model,
                                   noisy_halfplane_model, quadrant_model, risk_of_constant,
                                   sample)
+from gtvclass.cli import main
 from gtvclass.kernels import KernelProfile, surface_tension
-from gtvclass.solver import solve_mincut
+from gtvclass.solver import (SolverConfig, binarize, energy, solve_brute_force, solve_mincut,
+                             solve_primal_dual)
 
 
 def uniform_square():
@@ -915,3 +918,71 @@ def test_point_arrays_are_n_by_d(name, d):
         with pytest.raises(ValidationError, match="finite"):
             call(model, b)
 
+
+
+# ---------------------------------------------------------------- label arrays
+
+def graph_on(x):
+    return build(x, 0.5, KernelProfile("indicator"))
+
+
+def solution_taker(*argv):
+    # the CLI with y stored as a solve JSON's u_binary; its exit code 2 is a
+    # ValidationError raised again here, so that every taker reads alike
+    def call(x, y, tmp_path):
+        gt.save_cloud(LabeledCloud(x, np.zeros(len(x), dtype=int)), tmp_path / "d.csv")
+        u_binary = y.tolist() if isinstance(y, (np.ndarray, np.generic)) else y
+        (tmp_path / "s.json").write_text(json.dumps({"u_binary": u_binary}))
+        code = main(["--out-dir", str(tmp_path), *argv, "--data", str(tmp_path / "d.csv"),
+                     "--solution", str(tmp_path / "s.json")])
+        if code == 2:
+            raise ValidationError("exit code 2")
+        assert code == 0
+    return call
+
+
+# every public entry that takes one binary value per point, as a call on
+# (n, 2) points x, the values y and a scratch directory
+LABEL_TAKERS = {
+    "LabeledCloud": lambda x, y, tmp: LabeledCloud(x, y),
+    "solve_brute_force": lambda x, y, tmp: solve_brute_force(graph_on(x), y, 0.1),
+    "solve_mincut": lambda x, y, tmp: solve_mincut(graph_on(x), y, 0.1),
+    "solve_primal_dual": lambda x, y, tmp: solve_primal_dual(
+        graph_on(x), y, SolverConfig(0.1, max_iters=20)),
+    "energy": lambda x, y, tmp: energy(graph_on(x), y, 0.1, np.full(len(x), 0.5)),
+    "binarize": lambda x, y, tmp: binarize(graph_on(x), y, 0.1, np.linspace(0, 1, len(x))),
+    "VoronoiClassifier": lambda x, y, tmp: mx.VoronoiClassifier(x, y),
+    "risk --solution": solution_taker("risk", "--model", "builtin:quadrant", "--test-m", "100"),
+    "plot --solution": solution_taker("plot"),
+}
+
+# labels that are not one 0 or 1 per point, made from valid (n,) labels y
+BAD_LABELS = {
+    "scalar": lambda y: y[0],
+    "column": lambda y: y[:, None],
+    "one-more": lambda y: np.append(y, 0),
+    "one-fewer": lambda y: y[:-1],
+    "half": lambda y: np.where(np.arange(y.size) == 2, 0.5, y),
+    "two": lambda y: np.where(np.arange(y.size) == 2, 2, y),
+    "nan": lambda y: np.where(np.arange(y.size) == 2, np.nan, y),
+    "string": lambda y: [*y[:-1].tolist(), "1"],
+}
+
+
+def labeled_points():
+    return sample(quadrant_model(), 6, 93).points, np.array([0, 1, 1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_TAKERS))
+def test_labels_given_as_int_float_or_bool_are_taken(name, tmp_path):
+    x, y = labeled_points()
+    for labels in (y, y.astype(float), y.astype(bool)):
+        LABEL_TAKERS[name](x, labels, tmp_path)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+@pytest.mark.parametrize("name", sorted(LABEL_TAKERS))
+def test_labels_must_be_one_0_or_1_per_point(name, case, tmp_path):
+    x, y = labeled_points()
+    with pytest.raises(ValidationError):
+        LABEL_TAKERS[name](x, BAD_LABELS[case](y), tmp_path)

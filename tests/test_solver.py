@@ -682,3 +682,9 @@ def test_solver_config_validation():
     for tol in (0.0, -1e-7, 1.0, 2.0, np.inf, np.nan):
         with pytest.raises(ValidationError):
             SolverConfig(0.1, tol=tol)
+    for max_iters in (-1, 2.7, True, "5", None):
+        with pytest.raises(ValidationError, match="max_iters"):
+            SolverConfig(0.1, max_iters=max_iters)
+    for max_iters in (0, 7, np.int64(7)):
+        cfg = SolverConfig(0.1, max_iters=max_iters)
+        assert cfg.max_iters == max_iters and type(cfg.max_iters) is int
