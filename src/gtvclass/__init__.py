@@ -9,6 +9,9 @@ Modules:
     cli          command line driver for datasets, solves, and regime sweeps
 """
 
+import json
+import sys
+
 import numpy as np
 
 
@@ -28,17 +31,12 @@ def check_keys(obj, keys, where):
 
 
 def json_value(kind):
-    """Converter that takes only a JSON value of one kind: str a string, dict
-    an object, list an array, float a finite number. A bool is none of them,
-    and neither is the NaN, Infinity or overflowing 1e400 that Python's json
-    reads."""
-    types = (int, float) if kind is float else kind
-    def value_of(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError("expected a JSON %s, got %r" % (kind.__name__, value))
-        value = kind(value)
-        if kind is float and not np.isfinite(value):
-            raise ValueError("%r is not finite" % value)
+    """Checker, called as check(value, name), that takes only a JSON value of
+    one kind: str a string, dict an object, list an array. Numbers go
+    through check_int and check_number instead."""
+    def value_of(value, name):
+        if not isinstance(value, kind):
+            raise ValidationError("%s must be a JSON %s, got %r" % (name, kind.__name__, value))
         return value
     return value_of
 
@@ -71,12 +69,25 @@ def check_labels(y, n):
     return y.astype(float)
 
 
-def check_positive(value, name):
-    """value as a float, once it is positive and finite; anything else, NaN
-    included, is a ValidationError. A scale such as eps or lambda outside
-    (0, inf) gives false energies and certificates, not an error."""
-    if not (0 < value < np.inf):
-        raise ValidationError("%s must be positive and finite" % name)
+def check_int(value, name, lo):
+    """value as an int, once it is an integer (a numpy one included, a bool
+    never) of at least lo; anything else is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValidationError("%s must be an integer >= %d, got %r" % (name, lo, value))
+    return int(value)
+
+
+def check_number(value, name, lo=-np.inf, hi=np.inf):
+    """value as a float, once it is an int or float (numpy scalars included;
+    a bool or a string is never a number) that is finite and strictly
+    between lo and hi. Anything else, NaN and an int too large for a float
+    included, is a ValidationError. eps and lambda take lo = 0: outside
+    (0, inf) they give false energies and certificates, not an error."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (lo < value < hi and abs(value) <= sys.float_info.max)):
+        rule = {(-np.inf, np.inf): "a finite number", (0, np.inf): "positive and finite"}
+        raise ValidationError("%s must be %s, got %r" % (
+            name, rule.get((lo, hi), "a number in (%g, %g)" % (lo, hi)), value))
     return float(value)
 
 
@@ -88,6 +99,15 @@ def read_text(path):
             return fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError("%s is not UTF-8 text: %s" % (path, exc)) from None
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; text that is not JSON is a
+    ValidationError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError("malformed JSON in %s: %s" % (path, exc)) from None
 
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from time import perf_counter
 
 import numpy as np
 
-from . import ValidationError, check_keys, check_labels, json_value, read_text
+from . import (ValidationError, check_int, check_keys, check_labels, check_number, json_value,
+               read_json, read_text)
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
                           sample, save_cloud)
@@ -57,13 +58,6 @@ def _resolve_model(ref):
     return load_model(ref)
 
 
-def _load_json(path):
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError("malformed JSON in %s: %s" % (path, exc))
-
-
 def _out_path(path, out_dir):
     path = path if os.path.isabs(path) else os.path.join(out_dir, path)
     parent = os.path.dirname(path)
@@ -81,41 +75,38 @@ def _emit_json(record, args, out=None):
 
 
 def _field(record, key, kind, where):
-    """kind(record[key]); a missing or malformed field is a ValidationError."""
+    """kind(record[key], key); a missing or malformed field is a ValidationError."""
     try:
-        return kind(record[key])
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        return kind(record[key], key)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("%s: missing or malformed %r (%s)"
                               % (where, key, exc)) from None
 
 
-def _int_from(lo, from_json=False):
-    """Converter to an integer >= lo, from a flag's text or, with from_json,
-    from a JSON integer: a JSON bool, float or string is refused."""
-    def integer(value):
-        value = value if from_json else int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-            raise ValueError("%r is not an integer >= %d" % (value, lo))
-        return value
+def _int_flag(lo):
+    """A flag's text as an integer >= lo."""
+    def integer(text):
+        return check_int(int(text), "value", lo)
     return integer
 
 
-def _ints_from(lo):
-    def integers(value):
-        if not isinstance(value, list) or not value:
-            raise ValueError("expected a nonempty list")
-        return [_int_from(lo, from_json=True)(v) for v in value]
+def _ints(lo):
+    """Checker of a nonempty JSON array of integers >= lo."""
+    def integers(value, name):
+        if not json_value(list)(value, name):
+            raise ValidationError("%s must not be empty" % name)
+        return [check_int(v, name, lo) for v in value]
     return integers
 
 
 def _read(raw, kinds, where, **defaults):
-    """{key: kinds[key](raw[key])}; unknown or absent keys are a ValidationError."""
+    """{key: kinds[key](raw[key], key)}; unknown or absent keys are a ValidationError."""
     raw = {**defaults, **check_keys(raw, kinds, where)}
     return {key: _field(raw, key, kind, where) for key, kind in kinds.items()}
 
 
 def _load_solution(path, cloud):
-    return _field(_load_json(path), "u_binary", lambda v: check_labels(v, cloud.n), path)
+    return _field(read_json(path), "u_binary", lambda v, _: check_labels(v, cloud.n), path)
 
 
 def _rule_value(rule, n, of, *args):
@@ -124,10 +115,7 @@ def _rule_value(rule, n, of, *args):
         value = of(*args)
     except OverflowError:
         value = np.inf
-    if not (0 < value < np.inf):
-        raise ValidationError("%s gives %r at n = %d; it must be positive and finite"
-                              % (rule, value, n))
-    return value
+    return check_number(value, "%s at n = %d" % (rule, n), 0)
 
 
 # ------------------------------------------------------------------ sweep
@@ -140,22 +128,21 @@ class SweepConfig:
     c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
     """
 
-    KEYS = {"model": json_value(str), "n_list": _ints_from(1), "eps_rule": json_value(dict),
-            "lambda_rule": json_value(dict), "kernel": json_value(str), "seeds": _ints_from(0),
-            "test_m": _int_from(100, from_json=True), "report": json_value(str)}
+    KEYS = {"model": json_value(str), "n_list": _ints(1), "eps_rule": json_value(dict),
+            "lambda_rule": json_value(dict), "kernel": json_value(str), "seeds": _ints(0),
+            "test_m": lambda v, name: check_int(v, name, 100), "report": json_value(str)}
 
     def __init__(self, raw):
-        number = json_value(float)
         self.__dict__.update(_read(raw, self.KEYS, "sweep config", kernel="indicator",
                                    test_m=2000, report="report.csv"))
         self.eps_c, self.eps_a = _read(
-            self.eps_rule, {"c": number, "a": number}, "eps_rule").values()
+            self.eps_rule, {"c": check_number, "a": check_number}, "eps_rule").values()
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s"
                                   % (REGIMES,))
         _, self.lam_c, self.lam_b = _read(
-            self.lambda_rule, {"regime": json_value(str), "c": number, "b": number},
+            self.lambda_rule, {"regime": json_value(str), "c": check_number, "b": check_number},
             "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
         # each rule must give a positive, finite value at every n of n_list
         for n in self.n_list:
@@ -374,7 +361,7 @@ def _cmd_certify(args):
 
 
 def _cmd_sweep(args):
-    cfg = SweepConfig(_load_json(args.config))
+    cfg = SweepConfig(read_json(args.config))
     rows, path = run_sweep(cfg, out_dir=args.out_dir, threads=args.threads)
     _emit_json({"report": path, "rows": len(rows)}, args)
     return 0
@@ -421,8 +408,9 @@ def _cmd_plot(args):
         groups = {}   # regime -> n -> excess risks
         for r in raw:
             tag, n, e = (_field(r, key, kind, args.report) for key, kind in
-                         (("regime", str), ("n", _int_from(1)),
-                          ("excess_risk", lambda text: json_value(float)(float(text)))))
+                         (("regime", lambda text, _: str(text)),
+                          ("n", lambda text, key: check_int(int(text), key, 1)),
+                          ("excess_risk", lambda text, key: check_number(float(text), key))))
             groups.setdefault(tag, {}).setdefault(n, []).append(e)
         if args.regime is not None:
             if args.regime not in groups:
@@ -471,9 +459,9 @@ def _build_parser():
     # global flags, accepted after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values already parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)
-    for flag, kw in (("--seed", dict(type=_int_from(0), default=0, help="base RNG seed")),
+    for flag, kw in (("--seed", dict(type=_int_flag(0), default=0, help="base RNG seed")),
                      ("--out-dir", dict(default=".", help="directory for outputs")),
-                     ("--threads", dict(type=_int_from(1), default=1,
+                     ("--threads", dict(type=_int_flag(1), default=1,
                                         help="parallel workers for sweeps"))):
         p.add_argument(flag, **kw)
         common.add_argument(flag, **dict(kw, default=argparse.SUPPRESS))
@@ -489,7 +477,7 @@ def _build_parser():
     sp = add_parser("gen", _cmd_gen, help="sample a labeled dataset from a model")
     sp.add_argument("--model", required=True,
                     help="model JSON path or builtin:<name>")
-    sp.add_argument("--n", type=_int_from(1), required=True)
+    sp.add_argument("--n", type=_int_flag(1), required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
 
     for name, fn, extra in (("solve", _cmd_solve, True),
@@ -515,14 +503,14 @@ def _build_parser():
 
     sp = add_parser("sigma", _cmd_sigma, out=True, help="surface tension of a kernel")
     sp.add_argument("--kernel", default="indicator")
-    sp.add_argument("--d", type=_int_from(1), default=2)
+    sp.add_argument("--d", type=_int_flag(1), default=2)
 
     sp = add_parser("gamma-check", _cmd_gamma_check, out=True,
                     help="graph TV vs continuum target across n")
     sp.add_argument("--model", default="builtin:halfplane")
     sp.add_argument("--kernel", default="indicator")
     sp.add_argument("--n-list", default="1000,4000,16000",
-                    type=lambda text: [_int_from(1)(t) for t in text.split(",")])
+                    type=lambda text: [_int_flag(1)(t) for t in text.split(",")])
     sp.add_argument("--eps-c", type=float, default=1.0)
     sp.add_argument("--eps-a", type=float, default=0.25)
 
@@ -537,7 +525,7 @@ def _build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--solution", required=True)
-    sp.add_argument("--test-m", type=_int_from(100), default=2000)
+    sp.add_argument("--test-m", type=_int_flag(100), default=2000)
     return p
 
 

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import ValidationError, check_points, check_positive
+from . import ValidationError, check_number, check_points
 from . import kernels
 
 
@@ -41,7 +41,7 @@ def build(cloud, eps, profile):
     points = check_points(cloud.points if hasattr(cloud, "points") else cloud)
     if points.size == 0:
         raise ValidationError("need a nonempty (n, d) array of points")
-    check_positive(eps, "eps")
+    eps = check_number(eps, "eps", 0)
     n, d = points.shape
     # the k-d tree rounds distances its own way; the margin only widens the
     # candidate set, and w > 0 below decides which pairs become edges
@@ -75,8 +75,6 @@ def gtv(graph, u):
     u = np.asarray(u, dtype=float)
     if u.shape != (graph.n,):
         raise ValidationError("node function has wrong length")
-    if graph.m == 0:
-        return 0.0
     return 2.0 / (graph.n ** 2 * graph.eps) * float(
         np.sum(graph.w * np.abs(u[graph.ei] - u[graph.ej])))
 

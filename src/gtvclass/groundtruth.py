@@ -9,12 +9,12 @@ belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
 """
 
 import io
-import json
 from functools import cached_property
 
 import numpy as np
 
-from . import ValidationError, check_keys, check_labels, check_points, json_value, read_text
+from . import (ValidationError, check_int, check_keys, check_labels, check_number,
+               check_points, json_value, read_json, read_text)
 
 
 class GroundTruthModel:
@@ -177,8 +177,7 @@ def sample(model, n, seed):
     seeds reproduce the cloud bit for bit; seed may be an int or a tuple
     (tuples keep independent draws, e.g. test sets, on separate streams).
     """
-    if n < 1:
-        raise ValidationError("need n >= 1 samples")
+    n = check_int(n, "n", 1)
     rng = np.random.Generator(np.random.Philox(seed))
     masses = model._rho * GroundTruthModel._volumes(model._rho_lo, model._rho_hi)
     cum = np.cumsum(masses)
@@ -283,28 +282,23 @@ BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
 # -- persistence ------------------------------------------------------------
 
 def model_from_dict(obj):
-    number = json_value(float)
-    def vector(v):
-        return [number(t) for t in json_value(list)(v)]
+    def vector(v, name):
+        return [check_number(t, name) for t in json_value(list)(v, name)]
     def cell(c, key):
         c = check_keys(c, ("lo", "hi", "value"), key)
-        return vector(c["lo"]), vector(c["hi"]), number(c["value"])
+        return vector(c["lo"], "lo"), vector(c["hi"], "hi"), check_number(c["value"], "value")
     try:
         check_keys(obj, ("name", "domain", "density_cells", "mu_cells"), "model")
         dom = check_keys(obj["domain"], ("lo", "hi"), "domain")
         dens, mu = ([cell(c, key) for c in obj[key]] for key in ("density_cells", "mu_cells"))
-        return GroundTruthModel(vector(dom["lo"]), vector(dom["hi"]), dens, mu,
-                                name=json_value(str)(obj.get("name", "model")))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        return GroundTruthModel(vector(dom["lo"], "lo"), vector(dom["hi"], "hi"), dens, mu,
+                                name=json_value(str)(obj.get("name", "model"), "name"))
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError("malformed model description: %s" % e) from None
 
 
 def load_model(path):
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
-        raise ValidationError("model file is not valid JSON: %s" % e) from None
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path))
 
 
 def save_cloud(cloud, path):

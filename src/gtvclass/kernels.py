@@ -21,7 +21,7 @@ eta(0) for the exponential and ~1e-14 for the gaussian.
 import numpy as np
 from scipy.special import gamma as _gamma, gammainc
 
-from . import ValidationError
+from . import ValidationError, check_int
 
 SUPPORT_RADIUS = {"indicator": 1.0, "exponential": 40.0, "gaussian": 8.0}
 SHAPES = tuple(SUPPORT_RADIUS)
@@ -77,8 +77,7 @@ def surface_tension(profile, d):
     Gamma(d+1) P(d+1, R) for the exponential and
     2^((d-1)/2) Gamma((d+1)/2) P((d+1)/2, R^2/2) for the gaussian.
     """
-    if d < 1 or int(d) != d:
-        raise ValidationError("dimension must be a positive integer")
+    d = check_int(d, "d", 1)
     A = _angular_factor(d)
     R = profile.support_radius
     if profile.shape == "indicator":

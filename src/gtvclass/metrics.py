@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ValidationError, check_labels, check_points, check_positive
+from . import ValidationError, check_int, check_labels, check_number, check_points
 from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
@@ -33,12 +33,10 @@ ASSIGNMENT_BUDGET = 4096
 
 
 def empirical_risk(u, labels):
-    """Mean |u_i - y_i|; for binary u this is the fraction of disagreements."""
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if u.shape != y.shape:
-        raise ValidationError("u and labels must have the same shape")
-    return float(np.mean(np.abs(u - y)))
+    """The fraction of points where the labeling u and the labels disagree;
+    each is one 0 or 1 per point."""
+    u = check_labels(u, np.size(u))
+    return float(np.mean(np.abs(u - check_labels(labels, u.size))))
 
 
 class VoronoiClassifier:
@@ -75,9 +73,7 @@ def voronoi_extend(cloud, u):
 
 def _fresh(model, m, seed):
     # the m fresh labeled samples that each Monte-Carlo estimator draws
-    if m < 100:
-        raise ValidationError("need m >= 100 fresh samples")
-    return sample(model, int(m), seed)
+    return sample(model, check_int(m, "m", 100), seed)
 
 
 def test_risk(classifier, model, m, seed):
@@ -276,7 +272,7 @@ def concentration_diagnostic(cloud, model, eps):
     mu(x) exactly and is expected to shrink like sqrt(log n / (n eps^d)) for
     genuinely random labels.
     """
-    check_positive(eps, "eps")
+    eps = check_number(eps, "eps", 0)
     resid = model.mu_at(cloud.points) - np.asarray(cloud.labels, dtype=float)
     keys, weights, n_nodes = _tent_partition(cloud.points, model.lo, eps)
     acc = np.zeros(n_nodes)

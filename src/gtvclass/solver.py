@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, maximum_flow,
                                   reverse_cuthill_mckee)
 
-from . import ValidationError, check_labels, check_positive
+from . import ValidationError, check_int, check_labels, check_number
 from .graph import _adjacency, gtv
 
 
@@ -24,20 +24,14 @@ MAX_ITERS, TOL = 20000, 1e-7   # primal-dual defaults, the CLI's too
 
 class SolverConfig:
     """The solver's options, checked here once for either method: lambda
-    positive and finite, max_iters an integer >= 0 (not a bool), tol in
-    (0, 1)."""
+    positive and finite, max_iters an integer >= 0, tol in (0, 1)."""
 
     def __init__(self, lambda_, max_iters=MAX_ITERS, tol=TOL):
         # the dual bound is at least 0, so gap <= energy: with tol >= 1 the
         # stop rule would pass at its first check and certify nothing
-        if not (0 < tol < 1):
-            raise ValidationError("tol must lie in (0, 1)")
-        if (isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer))
-                or max_iters < 0):
-            raise ValidationError("max_iters must be an integer >= 0, got %r" % (max_iters,))
-        self.lambda_ = check_positive(lambda_, "lambda")
-        self.max_iters = int(max_iters)
-        self.tol = float(tol)
+        self.tol = check_number(tol, "tol", 0, 1)
+        self.max_iters = check_int(max_iters, "max_iters", 0)
+        self.lambda_ = check_number(lambda_, "lambda", 0)
 
 
 class SolveResult:
@@ -57,14 +51,14 @@ def energy(graph, labels, lam, u):
     """E(u); gtv refuses a u of the wrong shape."""
     y = check_labels(labels, graph.n)
     u = np.asarray(u, dtype=float)
-    return lam * gtv(graph, u) + float(np.abs(u - y).mean())
+    return check_number(lam, "lambda", 0) * gtv(graph, u) + float(np.abs(u - y).mean())
 
 
 def solve_brute_force(graph, labels, lam):
     """Exhaustive minimum over u in {0,1}^n; ties broken by the
     lexicographically smallest u. Refused above n = 20."""
     y = check_labels(labels, graph.n)
-    lam = check_positive(lam, "lambda")
+    lam = check_number(lam, "lambda", 0)
     n = graph.n
     if n > 20:
         raise ValidationError("brute force refused for n > 20")
@@ -75,9 +69,8 @@ def solve_brute_force(graph, labels, lam):
         hi = min(lo + (1 << 16), 1 << n)
         k = np.arange(lo, hi, dtype=np.int64)
         bits = ((k[:, None] >> shifts[None, :]) & 1).astype(float)
-        e = np.abs(bits - y).mean(axis=1)
-        if graph.m:
-            e = e + scale * (np.abs(bits[:, graph.ei] - bits[:, graph.ej]) @ graph.w)
+        e = np.abs(bits - y).mean(axis=1) + scale * (
+            np.abs(bits[:, graph.ei] - bits[:, graph.ej]) @ graph.w)
         j = int(np.argmin(e))
         if e[j] < best_e:
             best_e, best_u = float(e[j]), bits[j].copy()
@@ -115,7 +108,7 @@ def solve_mincut(graph, labels, lam):
     the capacity rounding, 0.5/scale per arc, plus the allowance.
     """
     y = check_labels(labels, graph.n)
-    lam = check_positive(lam, "lambda")
+    lam = check_number(lam, "lambda", 0)
     n, m = graph.n, graph.m
     if m == 0:   # the labels cost nothing, as in solve_primal_dual
         return SolveResult(y.copy(), y, 0.0, 0.0, iters=0, gap=0.0, method="mincut")
@@ -196,7 +189,7 @@ def binarize(graph, labels, lam, u):
         raise ValidationError("node function has wrong length")
     thresholds = np.unique(np.concatenate([u, [0.5]]))
     k, n = thresholds.size, graph.n
-    scale = 2.0 * lam / (n ** 2 * graph.eps)
+    scale = 2.0 * check_number(lam, "lambda", 0) / (n ** 2 * graph.eps)
     # candidate c = 0..k labels node i one iff c <= idx[i]: c = 0 is all-ones,
     # c = t + 1 the level set above thresholds[t]
     idx = np.searchsorted(thresholds, u)
@@ -217,7 +210,7 @@ def binarize(graph, labels, lam, u):
 def certify_overfit(graph, lam):
     """Dual bound s_i = (2 lambda/(eps n)) sum_j eta_eps(x_i - x_j), diagonal
     included. max s_i < 1 guarantees the unique minimizer is the labels."""
-    s = (2.0 * check_positive(lam, "lambda") / (graph.eps * graph.n)) * graph.degree_sums
+    s = (2.0 * check_number(lam, "lambda", 0) / (graph.eps * graph.n)) * graph.degree_sums
     smax = float(s.max())
     return smax < 1.0, 1.0 - smax
 

@@ -22,8 +22,8 @@ from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud, asymmetric_mod
                                   sample)
 from gtvclass.cli import main
 from gtvclass.kernels import KernelProfile, surface_tension
-from gtvclass.solver import (SolverConfig, binarize, energy, solve_brute_force, solve_mincut,
-                             solve_primal_dual)
+from gtvclass.solver import (SolverConfig, binarize, certify_overfit, energy, solve_brute_force,
+                             solve_mincut, solve_primal_dual)
 
 
 def uniform_square():
@@ -952,6 +952,8 @@ LABEL_TAKERS = {
     "energy": lambda x, y, tmp: energy(graph_on(x), y, 0.1, np.full(len(x), 0.5)),
     "binarize": lambda x, y, tmp: binarize(graph_on(x), y, 0.1, np.linspace(0, 1, len(x))),
     "VoronoiClassifier": lambda x, y, tmp: mx.VoronoiClassifier(x, y),
+    "empirical_risk": lambda x, y, tmp: mx.empirical_risk(np.ones(len(x)), y),
+    "empirical_risk u": lambda x, y, tmp: mx.empirical_risk(y, np.ones(len(x))),
     "risk --solution": solution_taker("risk", "--model", "builtin:quadrant", "--test-m", "100"),
     "plot --solution": solution_taker("plot"),
 }
@@ -986,3 +988,127 @@ def test_labels_must_be_one_0_or_1_per_point(name, case, tmp_path):
     x, y = labeled_points()
     with pytest.raises(ValidationError):
         LABEL_TAKERS[name](x, BAD_LABELS[case](y), tmp_path)
+
+
+# ---------------------------------------------------------------- numbers
+
+def cli_taker(make_argv):
+    # the CLI on make_argv(value, tmp_path), a numpy scalar given as the
+    # Python number it holds; exit code 2, from argparse or the command, is a
+    # ValidationError raised again here, and a value taken reads back as None
+    def call(value, tmp_path):
+        value = value.item() if isinstance(value, np.generic) else value
+        try:
+            code = main(["--out-dir", str(tmp_path), *make_argv(value, tmp_path)])
+        except SystemExit as exc:
+            code = exc.code
+        if code == 2:
+            raise ValidationError("exit code 2")
+        assert code == 0
+    return call
+
+
+def solve_flag(flag):
+    # the flag spelled as JSON, so that True is true and the string "1" keeps its quotes
+    def argv(value, tmp_path):
+        gt.save_cloud(LabeledCloud(*labeled_points()), tmp_path / "d.csv")
+        flags = {"--eps": 0.5, "--lambda": 0.1, "--max-iters": 20, flag: value}
+        return ["solve", "--data", str(tmp_path / "d.csv"), "--method", "pd",
+                *("%s=%s" % (f, json.dumps(v)) for f, v in flags.items())]
+    return cli_taker(argv)
+
+
+def sweep_key(overrides):
+    def argv(value, tmp_path):
+        cfg = {"model": "builtin:quadrant", "n_list": [20], "eps_rule": {"c": 0.7, "a": 0.5},
+               "lambda_rule": {"regime": "fixed", "c": 0.01}, "seeds": [0], "test_m": 100,
+               **overrides(value)}
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        return ["sweep", "--config", str(tmp_path / "sweep.json")]
+    return cli_taker(argv)
+
+
+def model_value(value, tmp_path):
+    model = {"domain": {"lo": [0, 0], "hi": [1, 1]},
+             "density_cells": [{"lo": [0, 0], "hi": [1, 1], "value": 1}],
+             "mu_cells": [{"lo": [0, 0], "hi": [1, 1], "value": value}]}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    return ["gen", "--model", str(tmp_path / "model.json"), "--n", "5", "--out", "y.csv"]
+
+
+def unread(f):
+    # a taker whose number is not read back
+    def call(value, tmp_path):
+        f(value)
+    return call
+
+
+def number_graph():
+    x, y = labeled_points()
+    return graph_on(x), y
+
+
+# every public entry that takes one number, as a call on the number and a
+# scratch directory that returns the number as taken, or None where it is not
+# read back, with the number's rule: an int is the least integer taken
+NUMBER_TAKERS = {
+    "SolverConfig lambda": (lambda v, tmp: SolverConfig(v).lambda_, "positive"),
+    "SolverConfig tol": (lambda v, tmp: SolverConfig(0.1, tol=v).tol, "in (0, 1)"),
+    "SolverConfig max_iters": (lambda v, tmp: SolverConfig(0.1, max_iters=v).max_iters, 0),
+    "build eps": (lambda v, tmp: build(labeled_points()[0], v, KernelProfile("indicator")).eps,
+                  "positive"),
+    "concentration_diagnostic eps": (unread(lambda v: mx.concentration_diagnostic(
+        sample(quadrant_model(), 50, 1), quadrant_model(), v)), "positive"),
+    "solve_brute_force": (unread(lambda v: solve_brute_force(*number_graph(), v)), "positive"),
+    "solve_mincut": (unread(lambda v: solve_mincut(*number_graph(), v)), "positive"),
+    "solve_primal_dual": (unread(lambda v: solve_primal_dual(
+        *number_graph(), SolverConfig(v, max_iters=20))), "positive"),
+    "certify_overfit": (unread(lambda v: certify_overfit(number_graph()[0], v)), "positive"),
+    "energy": (unread(lambda v: energy(*number_graph(), v, np.full(6, 0.5))), "positive"),
+    "binarize": (unread(lambda v: binarize(*number_graph(), v, np.linspace(0, 1, 6))),
+                 "positive"),
+    "surface_tension d": (unread(lambda v: surface_tension(KernelProfile("indicator"), v)), 1),
+    "sample n": (lambda v, tmp: sample(quadrant_model(), v, 0).n, 1),
+    "test_risk m": (unread(lambda v: mx.test_risk(mx.VoronoiClassifier(*labeled_points()),
+                                                  quadrant_model(), v, 0)), 100),
+    "solve --lambda": (solve_flag("--lambda"), "positive"),
+    "solve --tol": (solve_flag("--tol"), "in (0, 1)"),
+    "solve --max-iters": (solve_flag("--max-iters"), 0),
+    "sweep test_m": (sweep_key(lambda v: {"test_m": v}), 100),
+    "sweep n_list": (sweep_key(lambda v: {"n_list": [v]}), 1),
+    "sweep seeds": (sweep_key(lambda v: {"seeds": [v]}), 0),
+    "sweep eps_rule.c": (sweep_key(lambda v: {"eps_rule": {"c": v, "a": 0.5}}), "positive"),
+    "model value": (cli_taker(model_value), "finite"),
+}
+
+# the values each rule takes; a rule's integers take no float, and (0, 1) no int
+TAKEN = {"positive": [2, 0.5, np.int64(2), np.float64(0.5)],
+         "in (0, 1)": [0.5, np.float64(0.25)],
+         "finite": [1, 0.25, np.int64(1), np.float64(0.25)]}
+
+
+def refused(rule):
+    # a bool or a string is never a number, under any rule
+    cases = {"bool": True, "string": "1", "none": None, "nan": np.nan, "inf": np.inf,
+             "-inf": -np.inf}
+    if isinstance(rule, int):
+        return {**cases, "below": rule - 1, "fraction": 2.5}
+    edges = {"positive": {"zero": 0}, "in (0, 1)": {"zero": 0, "one": 1}, "finite": {}}
+    return {**cases, **edges[rule]}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_TAKERS))
+def test_numbers_given_as_int_float_or_numpy_are_taken(name, tmp_path):
+    call, rule = NUMBER_TAKERS[name]
+    for value in [rule, np.int64(rule + 2)] if isinstance(rule, int) else TAKEN[rule]:
+        taken = call(value, tmp_path)
+        assert taken is None or (taken == value
+                                 and type(taken) is (int if isinstance(rule, int) else float))
+
+
+@pytest.mark.parametrize("name, case", [(name, case) for name in sorted(NUMBER_TAKERS)
+                                        for case in refused(NUMBER_TAKERS[name][1])])
+def test_numbers_must_be_int_or_float_in_range(name, case, tmp_path):
+    call, rule = NUMBER_TAKERS[name]
+    with pytest.raises(ValidationError):
+        call(refused(rule)[case], tmp_path)

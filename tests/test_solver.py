@@ -533,6 +533,18 @@ def test_primal_dual_edgeless_graph_returns_labels():
     assert r.energy_relaxed == r.energy_binary == sv.energy(g, y, 0.1, y) == 0.0
 
 
+def test_edgeless_graph_gtv_is_zero_and_exact_solvers_return_labels():
+    # with no edge gtv is an empty sum and brute force scores each labeling
+    # by a (k, 0) @ (0,) product, so every labeling costs its label term alone
+    g = gr.build(np.array([[0.0], [1.0], [2.0]]), 0.5, KernelProfile("indicator"))
+    y = np.array([1, 0, 1])
+    assert g.m == 0
+    assert gr.gtv(g, np.array([0.0, 1.0, 0.5])) == 0.0
+    for solve in (sv.solve_brute_force, sv.solve_mincut):
+        r = solve(g, y, 0.1)
+        assert np.array_equal(r.u_binary, y) and r.energy_binary == 0.0
+
+
 def pd_parity_instance(seed):
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((200, 2))
