@@ -75,9 +75,12 @@ def _emit_json(record, args, out=None):
 
 
 def _field(record, key, kind, where):
-    """kind(record[key], key); a missing or malformed field is a ValidationError."""
+    """kind(record[key], key); a missing, null or malformed field is a ValidationError."""
     try:
-        return kind(record[key], key)
+        value = record[key]
+        if value is None:   # JSON null, or csv's fill for the fields a short row lacks
+            raise KeyError(key)
+        return kind(value, key)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("%s: missing or malformed %r (%s)"
                               % (where, key, exc)) from None
@@ -408,7 +411,7 @@ def _cmd_plot(args):
         groups = {}   # regime -> n -> excess risks
         for r in raw:
             tag, n, e = (_field(r, key, kind, args.report) for key, kind in
-                         (("regime", lambda text, _: str(text)),
+                         (("regime", lambda text, _: text),
                           ("n", lambda text, key: check_int(int(text), key, 1)),
                           ("excess_risk", lambda text, key: check_number(float(text), key))))
             groups.setdefault(tag, {}).setdefault(n, []).append(e)

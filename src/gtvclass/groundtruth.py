@@ -5,7 +5,11 @@ the rho^2-weighted total variation of the Bayes classifier).
 
 Cell conventions: cells are half-open [lo, hi) along each axis except at
 the domain's upper face, which is closed, so every point of the domain
-belongs to exactly one cell. Boundary ties mu = 1/2 classify as 1.
+belongs to exactly one cell. Partitions are checked to 1e-12 of slack, so
+cells may leave gaps, overlap or pass the domain's faces by that much.
+Lookups follow the cells as given: a point in no cell is refused, a point
+in two goes to the lowest cell id, and a point more than 1e-12 outside the
+domain is refused. Boundary ties mu = 1/2 classify as 1.
 """
 
 import io
@@ -17,14 +21,87 @@ from . import (ValidationError, check_int, check_keys, check_labels, check_numbe
                check_points, json_value, read_json, read_text)
 
 
+class Cells:
+    """A rectangular partition of the box [box_lo, box_hi], given as a list of
+    (lo, hi, value), held as (k, d) arrays lo, hi and (k,) arrays value, volume
+    and mass = value * volume. what names the partition in error messages."""
+
+    def __init__(self, cells, box_lo, box_hi, what):
+        if not cells:
+            raise ValidationError("empty %s partition" % what)
+        self.box_lo, self.box_hi = box_lo, box_hi
+        self.lo = np.array([np.asarray(c[0], dtype=float) for c in cells])
+        self.hi = np.array([np.asarray(c[1], dtype=float) for c in cells])
+        self.value = np.array([float(c[2]) for c in cells])
+        if self.lo.shape[1:] != box_lo.shape or self.hi.shape != self.lo.shape:
+            raise ValidationError("%s cell dimension mismatch" % what)
+        if not np.all(self.hi > self.lo):
+            raise ValidationError("%s cells must have positive extent" % what)
+        if np.any(self.lo < box_lo - 1e-12) or np.any(self.hi > box_hi + 1e-12):
+            raise ValidationError("%s cells must lie inside the domain" % what)
+        self.volume = np.prod(self.hi - self.lo, axis=1)
+        box_vol = float(np.prod(box_hi - box_lo))
+        if abs(self.volume.sum() - box_vol) > 1e-12 * box_vol:
+            raise ValidationError("%s cells do not tile the domain" % what)
+        # pairwise disjointness (partitions are small, O(k^2) is fine)
+        meet = np.minimum(self.hi[:, None], self.hi) - np.maximum(self.lo[:, None], self.lo)
+        if np.any(np.triu(np.all(meet > 1e-12, axis=2), 1)):
+            raise ValidationError("%s cells overlap" % what)
+        self.mass = self.value * self.volume
+
+    @cached_property
+    def _table(self):
+        """Per-axis faces and a table of cell ids over the grid they span.
+
+        The sorted distinct faces e of axis j cut it into len(e) - 1 bins
+        [e_b, e_{b+1}), and every cell is a union of the grid boxes they span.
+        Each axis gets two more bins: one for the closed top face
+        x_j == box_hi_j, and one that no cell holds, for coordinates below
+        the first face or at or past the last. The table holds the lowest id
+        of a cell containing each grid box, -1 where none does. Built on
+        first use and stored in one assignment, so threads sharing a
+        partition at worst build it twice.
+        """
+        faces, member = [], []
+        for j, top in enumerate(self.box_hi):
+            e = np.unique(np.concatenate([self.lo[:, j], self.hi[:, j]]))
+            lo, hi = self.lo[:, j, None], self.hi[:, j, None]
+            member.append(np.hstack([(lo <= e[:-1]) & (e[1:] <= hi),
+                                     (lo <= top) & (top <= hi),
+                                     np.zeros_like(lo, dtype=bool)]))
+            faces.append(e)
+        table = np.full([m.shape[1] for m in member], -1, dtype=np.intp)
+        for c in range(self.value.size - 1, -1, -1):
+            table[np.ix_(*[m[c] for m in member])] = c
+        return faces, table
+
+    def index(self, x):
+        """Id of the cell holding each row of the (n, d) array x, under the
+        module's cell conventions; a point in no cell is a ValidationError."""
+        x = check_points(x, self.box_lo.size, "model")
+        if np.any(x < self.box_lo - 1e-12) or np.any(x > self.box_hi + 1e-12):
+            raise ValidationError("point outside the domain")
+        faces, ids = self._table
+        key = []
+        for j, e in enumerate(faces):
+            b = np.searchsorted(e, x[:, j], side="right") - 1
+            b[(b < 0) | (b == e.size - 1)] = e.size
+            b[x[:, j] == self.box_hi[j]] = e.size - 1
+            key.append(b)
+        idx = ids[tuple(key)]
+        if np.any(idx < 0):
+            raise ValidationError("point not covered by the partition")
+        return idx
+
+
 class GroundTruthModel:
     """Axis-aligned box domain with piecewise-constant rho and mu.
 
     density_cells and mu_cells are independent rectangular partitions of the
-    domain, each a list of (lo, hi, value) with lo/hi d-vectors. rho values
-    are probability densities (they integrate to 1 over the domain and are
-    strictly positive); mu values lie in [0, 1] and no cell sits exactly at
-    1/2, so {mu = 1/2} has zero Lebesgue measure.
+    domain, each a list of (lo, hi, value) with lo/hi d-vectors, held as the
+    Cells rho and mu. rho values are probability densities (they integrate
+    to 1 over the domain and are strictly positive); mu values lie in [0, 1]
+    and no cell sits exactly at 1/2, so {mu = 1/2} has zero Lebesgue measure.
     """
 
     def __init__(self, lo, hi, density_cells, mu_cells, name="model"):
@@ -36,123 +113,37 @@ class GroundTruthModel:
             raise ValidationError("domain must have positive extent")
         self.d = self.lo.size
         self.name = str(name)
-        self._rho_lo, self._rho_hi, self._rho = self._pack_cells(density_cells, "density")
-        self._mu_lo, self._mu_hi, self._mu = self._pack_cells(mu_cells, "mu")
+        self.rho = Cells(density_cells, self.lo, self.hi, "density")
+        self.mu = Cells(mu_cells, self.lo, self.hi, "mu")
         # written so that NaN fails each check
-        if not np.all(self._rho > 0):
+        if not np.all(self.rho.value > 0):
             raise ValidationError("density must be strictly positive on every cell")
-        mass = float(np.sum(self._rho * self._volumes(self._rho_lo, self._rho_hi)))
+        mass = float(np.sum(self.rho.mass))
         if not abs(mass - 1.0) <= 1e-12:
             raise ValidationError("density must integrate to 1, got %.17g" % mass)
-        if not np.all((self._mu >= 0) & (self._mu <= 1)):
+        if not np.all((self.mu.value >= 0) & (self.mu.value <= 1)):
             raise ValidationError("mu values must lie in [0, 1]")
-        if np.any(self._mu == 0.5):
+        if np.any(self.mu.value == 0.5):
             raise ValidationError("a mu cell at exactly 1/2 is rejected")
-
-    # -- partition handling -------------------------------------------------
-
-    def _pack_cells(self, cells, what):
-        if not cells:
-            raise ValidationError("empty %s partition" % what)
-        lo = np.array([np.asarray(c[0], dtype=float) for c in cells])
-        hi = np.array([np.asarray(c[1], dtype=float) for c in cells])
-        val = np.array([float(c[2]) for c in cells])
-        if lo.shape[1] != self.d:
-            raise ValidationError("%s cell dimension mismatch" % what)
-        if not np.all(hi > lo):
-            raise ValidationError("%s cells must have positive extent" % what)
-        if np.any(lo < self.lo - 1e-12) or np.any(hi > self.hi + 1e-12):
-            raise ValidationError("%s cells must lie inside the domain" % what)
-        vols = self._volumes(lo, hi)
-        dom_vol = float(np.prod(self.hi - self.lo))
-        if abs(vols.sum() - dom_vol) > 1e-12 * dom_vol:
-            raise ValidationError("%s cells do not tile the domain" % what)
-        # pairwise disjointness (partitions are small, O(k^2) is fine)
-        k = len(val)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if np.all(np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 1e-12):
-                    raise ValidationError("%s cells overlap" % what)
-        return lo, hi, val
-
-    @staticmethod
-    def _volumes(lo, hi):
-        return np.prod(hi - lo, axis=1)
-
-    @cached_property
-    def _rho_table(self):
-        return self._cell_table(self._rho_lo, self._rho_hi)
-
-    @cached_property
-    def _mu_table(self):
-        return self._cell_table(self._mu_lo, self._mu_hi)
-
-    def _cell_table(self, los, his):
-        """Per-axis faces and a table of cell ids over the grid they span.
-
-        The sorted distinct faces e of axis j cut it into len(e) - 1 bins
-        [e_b, e_{b+1}), and every cell is a union of the grid boxes they span.
-        Each axis gets two more bins: one for the closed top face
-        x_j == hi_j, and one that no cell holds, for coordinates below the
-        first face or at or past the last. The table holds the lowest id of
-        a cell containing each grid box, -1 where none does. Built on first
-        use and stored in one assignment, so threads sharing a model at
-        worst build it twice.
-        """
-        faces, member = [], []
-        for j in range(self.d):
-            e = np.unique(np.concatenate([los[:, j], his[:, j]]))
-            lo, hi = los[:, j, None], his[:, j, None]
-            member.append(np.hstack([(lo <= e[:-1]) & (e[1:] <= hi),
-                                     (lo <= self.hi[j]) & (self.hi[j] <= hi),
-                                     np.zeros_like(lo, dtype=bool)]))
-            faces.append(e)
-        table = np.full([m.shape[1] for m in member], -1, dtype=np.intp)
-        for c in range(los.shape[0] - 1, -1, -1):
-            table[np.ix_(*[m[c] for m in member])] = c
-        return faces, table
-
-    def _cell_index(self, table, x):
-        """Id of the cell holding each row of x (table: _rho_table or _mu_table).
-
-        Cells are half-open [lo, hi) except on the domain's top face, which
-        belongs to the cells that reach it; overlapping cells go to the
-        lowest id. Raises ValidationError unless x is an (n, d) array of
-        points in the domain, each in some cell.
-        """
-        x = check_points(x, self.d, "model")
-        if np.any(x < self.lo - 1e-12) or np.any(x > self.hi + 1e-12):
-            raise ValidationError("point outside the domain")
-        faces, ids = table
-        key = []
-        for j, e in enumerate(faces):
-            b = np.searchsorted(e, x[:, j], side="right") - 1
-            b[(b < 0) | (b == e.size - 1)] = e.size
-            b[x[:, j] == self.hi[j]] = e.size - 1
-            key.append(b)
-        idx = ids[tuple(key)]
-        if np.any(idx < 0):
-            raise ValidationError("point not covered by the partition")
-        return idx
 
     def rho_at(self, x):
         """rho at each row of the (n, d) array x, as an (n,) array."""
-        return self._rho[self._cell_index(self._rho_table, x)]
+        return self.rho.value[self.rho.index(x)]
 
     def mu_at(self, x):
         """mu = P(y = 1 | x) at each row of the (n, d) array x, as an (n,) array."""
-        return self._mu[self._cell_index(self._mu_table, x)]
+        return self.mu.value[self.mu.index(x)]
 
-    def _refined(self):
-        # intersections of the two partitions: (volume, rho, mu, lo, hi) per piece
-        out = []
-        for i in range(self._rho_lo.shape[0]):
-            for j in range(self._mu_lo.shape[0]):
-                lo = np.maximum(self._rho_lo[i], self._mu_lo[j])
-                hi = np.minimum(self._rho_hi[i], self._mu_hi[j])
-                if np.all(hi > lo):
-                    out.append((float(np.prod(hi - lo)), self._rho[i], self._mu[j], lo, hi))
-        return out
+    @cached_property
+    def pieces(self):
+        """The overlay of rho and mu, on whose pieces both are constant: the
+        arrays (vol, rho, mu, lo, hi) of every nonempty meet of a rho cell and
+        a mu cell, rho cell by rho cell. Built on first use."""
+        lo = np.maximum(self.rho.lo[:, None], self.mu.lo[None, :])
+        hi = np.minimum(self.rho.hi[:, None], self.mu.hi[None, :])
+        i, j = np.nonzero(np.all(hi > lo, axis=2))
+        lo, hi = lo[i, j], hi[i, j]
+        return np.prod(hi - lo, axis=1), self.rho.value[i], self.mu.value[j], lo, hi
 
 
 class LabeledCloud:
@@ -179,12 +170,11 @@ def sample(model, n, seed):
     """
     n = check_int(n, "n", 1)
     rng = np.random.Generator(np.random.Philox(seed))
-    masses = model._rho * GroundTruthModel._volumes(model._rho_lo, model._rho_hi)
-    cum = np.cumsum(masses)
+    cum = np.cumsum(model.rho.mass)
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(n), side="right")
     idx = np.minimum(idx, len(cum) - 1)
-    lo, hi = model._rho_lo[idx], model._rho_hi[idx]
+    lo, hi = model.rho.lo[idx], model.rho.hi[idx]
     x = lo + rng.random((n, model.d)) * (hi - lo)
     y = (rng.random(n) < model.mu_at(x)).astype(np.int64)
     return LabeledCloud(x, y)
@@ -197,13 +187,15 @@ def bayes_classify(model, x):
 
 def bayes_risk(model):
     """integral of min(mu, 1-mu) rho over the domain, exact cell-wise."""
-    return sum(vol * rho * min(mu, 1.0 - mu) for vol, rho, mu, *_ in model._refined())
+    vol, rho, mu, _, _ = model.pieces
+    # added piece by piece, left to right: np.sum adds pairwise from 8 terms on
+    return np.add.accumulate(vol * rho * np.minimum(mu, 1.0 - mu))[-1]
 
 
 def risk_of_constant(model, c):
     """Risk of the constant labeling c: integral of (|c-1| mu + |c| (1-mu)) rho."""
-    return sum(vol * rho * (abs(c - 1.0) * mu + abs(c) * (1.0 - mu))
-               for vol, rho, mu, *_ in model._refined())
+    vol, rho, mu, _, _ = model.pieces
+    return np.add.accumulate(vol * rho * (abs(c - 1.0) * mu + abs(c) * (1.0 - mu)))[-1]
 
 
 def bayes_tv(model):
@@ -217,7 +209,7 @@ def bayes_tv(model):
     of graph TV is stated for continuous rho, so a density jump across the
     Bayes interface is a ValidationError.
     """
-    _, rho, mu, lo, hi = map(np.array, zip(*model._refined()))
+    _, rho, mu, lo, hi = model.pieces
     split = (mu[:, None] > 0.5) != (mu[None, :] > 0.5)
     span = np.minimum(hi[:, None], hi[None, :]) - np.maximum(lo[:, None], lo[None, :])
     total = 0.0

@@ -131,6 +131,8 @@ def tl1_exact(points_a, f_a, points_b, f_b):
         raise ValidationError("empty point sets")
     if fa.shape != (xa.shape[0],) or fb.shape != (xb.shape[0],):
         raise ValidationError("need one function value per point")
+    if not (np.isfinite(fa).all() and np.isfinite(fb).all()):
+        raise ValidationError("function values must be finite")
     n = xa.shape[0]
     if n > ASSIGNMENT_BUDGET:
         raise ValidationError("assignment budget is n <= %d" % ASSIGNMENT_BUDGET)
@@ -176,13 +178,13 @@ def quadrature_points(model, n):
     (largest remainder), then laid out on a regular sub-lattice of cell
     centers within each cell.
     """
-    vols = np.prod(model._rho_hi - model._rho_lo, axis=1)
-    quota = n * model._rho * vols
+    n, rho = check_int(n, "n", 1), model.rho
+    quota = n * rho.value * rho.volume
     base = np.floor(quota).astype(np.int64)
     short = int(n - base.sum())
     if short > 0:
         base[np.argsort(-(quota - base), kind="stable")[:short]] += 1
-    parts = [_cell_grid(model._rho_lo[c], model._rho_hi[c], int(k))
+    parts = [_cell_grid(rho.lo[c], rho.hi[c], int(k))
              for c, k in enumerate(base) if k > 0]
     return np.concatenate(parts, axis=0)
 
@@ -293,7 +295,7 @@ def gamma_check(model, profile, n_list, eps_rule, seed):
     target = surface_tension(profile, model.d) * bayes_tv(model)
     rows = []
     for i, n in enumerate(n_list):
-        n = int(n)
+        n = check_int(n, "n", 1)
         cloud = sample(model, n, (seed, i))
         eps = float(eps_rule(n))
         val = gtv(build(cloud, eps, profile), bayes_classify(model, cloud.points))

@@ -237,6 +237,9 @@ def write_bad_inputs(tmp_path):
         "model-bool.json": dict(one_d, mu_cells=[{"lo": [0], "hi": [1], "value": True}]),
         "model-string-number.json": dict(one_d, domain={"lo": [0], "hi": ["1e0"]}),
         "model-numeric-name.json": dict(one_d, name=5),
+        "model-short-hi.json": {"domain": {"lo": [0, 0], "hi": [1, 1]},
+                                "density_cells": [{"lo": [0, 0], "hi": [1, 1], "value": 1.0}],
+                                "mu_cells": [{"lo": [0, 0], "hi": [1], "value": 0.3}]},
         "model-typo.json": {"domain": {"lo": [0], "hi": [1]}, "mu_typo": 3,
                             "density_cells": [{"lo": [0], "hi": [1], "value": 1.0}],
                             "mu_cells": [{"lo": [0], "hi": [1], "value": 0.3}]},
@@ -254,6 +257,8 @@ def write_bad_inputs(tmp_path):
     for name, row in (("inf", "2000,inf"), ("nan", "500,nan"), ("n-zero", "0,0.02")):
         (tmp_path / ("report-%s.csv" % name)).write_text(
             "regime,n,excess_risk\noverfit,100,0.1\noverfit,%s\n" % row)
+    # a short row: csv reads the missing regime as None
+    (tmp_path / "report-short-row.csv").write_text("n,excess_risk,regime\n100,0.1\n")
     (tmp_path / "report.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
     (tmp_path / "d3.csv").write_text("x0,x1,x2,y\n" + "".join(
         "%.3f,%.3f,%.3f,%d\n" % (i / 50, (i * 7 % 50) / 50, (i * 13 % 50) / 50, i % 2)
@@ -283,12 +288,12 @@ BAD_INPUTS = {
     "report-no-excess": ["plot", "--report", "{d}/no_excess.csv"],
     "report-bad-n": ["plot", "--report", "{d}/bad_n.csv"],
     **{"report-%s" % name: ["plot", "--report", "{d}/report-%s.csv" % name]
-       for name in ("inf", "nan", "n-zero")},
+       for name in ("inf", "nan", "n-zero", "short-row")},
     "model-bad-number": ["gen", "--model", "{d}/model.json", "--n", "10", "--out", "y.csv"],
     "model-nan-mu": ["gen", "--model", "{d}/model-nan.json", "--n", "5", "--out", "y.csv"],
     **{"model-%s" % name: ["gen", "--model", "{d}/model-%s.json" % name, "--n", "5",
                            "--out", "y.csv"]
-       for name in ("bool", "string-number", "numeric-name")},
+       for name in ("bool", "string-number", "numeric-name", "short-hi")},
     "model-unknown-key": ["gen", "--model", "{d}/model-typo.json", "--n", "5", "--out", "y.csv"],
     "gamma-interface-flag": ["gamma-check", "--interface", "{d}/s.json", "--n-list", "100"],
     "gamma-vertical-flag": ["gamma-check", "--vertical", "0.5", "--n-list", "100"],

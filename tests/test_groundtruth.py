@@ -1,5 +1,6 @@
 import csv
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,23 +169,21 @@ def outcome(f, *args):
 
 
 def assert_lookups_match_oracle(model, x):
-    for table, los, his, vals, at in (
-            (model._rho_table, model._rho_lo, model._rho_hi, model._rho, model.rho_at),
-            (model._mu_table, model._mu_lo, model._mu_hi, model._mu, model.mu_at)):
-        want = outcome(cell_index_oracle, model, los, his, x)
-        got = outcome(model._cell_index, table, x)
+    for cells, at in ((model.rho, model.rho_at), (model.mu, model.mu_at)):
+        want = outcome(cell_index_oracle, model, cells.lo, cells.hi, x)
+        got = outcome(cells.index, x)
         if want[0] == "error":
             assert got == want and outcome(at, x) == want
         else:
             assert got[0] == "ok" and np.array_equal(got[1], want[1])
-            assert np.array_equal(at(x), vals[want[1]])
-            assert np.array_equal(at(x[:1]), vals[want[1][:1]])
+            assert np.array_equal(at(x), cells.value[want[1]])
+            assert np.array_equal(at(x[:1]), cells.value[want[1][:1]])
     # want now holds the mu lookup
     if want[0] == "error":
         assert outcome(gt.bayes_classify, model, x) == want
     else:
         assert np.array_equal(gt.bayes_classify(model, x),
-                              (model._mu[want[1]] >= 0.5).astype(np.int64))
+                              (model.mu.value[want[1]] >= 0.5).astype(np.int64))
 
 
 @st.composite
@@ -223,8 +222,8 @@ def test_cell_index_matches_per_cell_oracle(model, seed):
     # every face of either partition on each axis (interior faces, the
     # bottom and the closed top face), mixed into random coordinates
     for j in range(model.d):
-        faces = np.unique(np.concatenate([model._rho_lo[:, j], model._rho_hi[:, j],
-                                          model._mu_lo[:, j], model._mu_hi[:, j]]))
+        faces = np.unique(np.concatenate([model.rho.lo[:, j], model.rho.hi[:, j],
+                                          model.mu.lo[:, j], model.mu.hi[:, j]]))
         on_face = rng.random(len(x)) < 0.5
         x[on_face, j] = rng.choice(faces, int(on_face.sum()))
     assert_lookups_match_oracle(model, x)
@@ -235,6 +234,44 @@ def test_cell_index_matches_per_cell_oracle(model, seed):
                 y = x[:5].copy()
                 y[2, j] = side
                 assert_lookups_match_oracle(model, y)
+
+
+def refined_oracle(model):
+    # the refined pieces (vol, rho, mu, lo, hi), one intersection per pair of
+    # a rho cell and a mu cell, rho-major
+    out = []
+    for i in range(model.rho.value.size):
+        for j in range(model.mu.value.size):
+            lo = np.maximum(model.rho.lo[i], model.mu.lo[j])
+            hi = np.minimum(model.rho.hi[i], model.mu.hi[j])
+            if np.all(hi > lo):
+                out.append((float(np.prod(hi - lo)), model.rho.value[i], model.mu.value[j],
+                            lo, hi))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=split_models())
+def test_bayes_quantities_match_piece_by_piece_oracle(model):
+    # each integral is a left-to-right sum over the pieces, bit for bit, also
+    # from 8 pieces on, where np.sum would add pairwise
+    pieces = refined_oracle(model)
+
+    def integral(f):
+        total = 0
+        for vol, rho, mu, _, _ in pieces:
+            total += vol * rho * f(mu)
+        return total
+
+    assert gt.bayes_risk(model) == integral(lambda mu: min(mu, 1.0 - mu))
+    for c in (0, 1):
+        assert gt.risk_of_constant(model, c) == integral(
+            lambda mu: abs(c - 1.0) * mu + abs(c) * (1.0 - mu))
+    oracle = SimpleNamespace(d=model.d, name=model.name,
+                             pieces=tuple(map(np.array, zip(*pieces))))
+    for got, want in zip(model.pieces, oracle.pieces):
+        assert np.array_equal(got, want)
+    assert outcome(gt.bayes_tv, model) == outcome(gt.bayes_tv, oracle)
 
 
 def test_cell_index_matches_oracle_on_slack_partitions():
@@ -269,6 +306,17 @@ def test_model_validation_errors():
         gt.GroundTruthModel((0,), (1,),
                             [((0,), (0.7,), 1.0), ((0.3,), (1.0,), 0.42857142857142855)],
                             [((0,), (1,), 0.4)])
+
+
+@pytest.mark.parametrize("cell", [((0, 0), (1,)), ((0,), (1, 1)), ((0, 0, 0), (1, 1, 1)),
+                                  (0, 1), ((0, 0), 1)])
+def test_cells_refuse_corners_of_another_dimension(cell):
+    # a corner of the wrong length used to pass by broadcasting, then fail
+    # the first lookup with an IndexError
+    for dens, mu in (([(*cell, 1.0)], [((0, 0), (1, 1), 0.3)]),
+                     ([((0, 0), (1, 1), 1.0)], [(*cell, 0.3)])):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            gt.GroundTruthModel((0, 0), (1, 1), dens, mu)
 
 
 def test_model_json_round_trip(tmp_path):

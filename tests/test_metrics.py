@@ -287,13 +287,12 @@ def exact_risk_2d(points, values, model):
     rho area[k], and 1 - agreement = mass{c_B = 1} + sum_k (1 - 2 c_B) rho
     area[k]. Duplicate points are refused.
     """
-    pieces = model._refined()
-    vol, rho, mu = (np.array(c) for c in list(zip(*pieces))[:3])
+    vol, rho, mu, los, his = model.pieces
     bayes = (mu >= 0.5).astype(float)
-    area = np.zeros(len(pieces))
+    area = np.zeros(len(vol))
     for poly, v in zip(voronoi_cells_in_box(points, model.lo, model.hi), values):
         if v == 1:
-            area += [shoelace(clip_to_box(poly, lo, hi)) for *_, lo, hi in pieces]
+            area += [shoelace(clip_to_box(poly, lo, hi)) for lo, hi in zip(los, his)]
     risk = np.sum(vol * rho * mu) + np.sum((1 - 2 * mu) * rho * area)
     agreement = 1 - np.sum(vol * rho * bayes) - np.sum((1 - 2 * bayes) * rho * area)
     return float(risk), float(agreement)
@@ -387,6 +386,15 @@ def test_tl1_validation():
     big = np.zeros((mx.ASSIGNMENT_BUDGET + 1, 1))
     with pytest.raises(ValidationError):
         mx.tl1_exact(big, np.zeros(len(big)), big, np.zeros(len(big)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_tl1_refuses_non_finite_values(side, value):
+    x, f = np.zeros((2, 2)), np.zeros(2)
+    bad = np.array([value, 0.0])
+    with pytest.raises(ValidationError, match="finite"):
+        mx.tl1_exact(x, bad if side == "a" else f, x, bad if side == "b" else f)
 
 
 def brute_tl1(xa, fa, xb, fb):
@@ -1069,6 +1077,9 @@ NUMBER_TAKERS = {
                  "positive"),
     "surface_tension d": (unread(lambda v: surface_tension(KernelProfile("indicator"), v)), 1),
     "sample n": (lambda v, tmp: sample(quadrant_model(), v, 0).n, 1),
+    "quadrature_points n": (lambda v, tmp: len(mx.quadrature_points(quadrant_model(), v)), 1),
+    "gamma_check n_list": (lambda v, tmp: mx.gamma_check(
+        quadrant_model(), KernelProfile("indicator"), [v], lambda n: 0.5, 0)[0]["n"], 1),
     "test_risk m": (unread(lambda v: mx.test_risk(mx.VoronoiClassifier(*labeled_points()),
                                                   quadrant_model(), v, 0)), 100),
     "solve --lambda": (solve_flag("--lambda"), "positive"),

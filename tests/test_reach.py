@@ -67,3 +67,18 @@ def test_bench_span_targets_resolve():
         for attr in path.split("."):
             obj = getattr(obj, attr, None)
         assert callable(obj), (name, module, path)
+
+
+def test_no_private_field_read_across_objects():
+    # x._name is read only where x is self or cls, so a class keeps its
+    # layout (a model's cells, a classifier's tree) to itself
+    reads = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            dunder = node.attr.startswith("__") and node.attr.endswith("__")
+            own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+            if not (dunder or own):
+                reads.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert not reads, reads
