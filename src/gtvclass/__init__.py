@@ -19,21 +19,9 @@ class ValidationError(ValueError):
     """Invalid argument or malformed input data."""
 
 
-def check_keys(obj, keys, where):
-    """obj, once it is a JSON object with no key outside keys; anything else
-    is a ValidationError."""
-    if not isinstance(obj, dict):
-        raise ValidationError("%s must be a JSON object" % where)
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValidationError("%s has unknown keys %s" % (where, unknown))
-    return obj
-
-
 def json_value(kind):
-    """Checker, called as check(value, name), that takes only a JSON value of
-    one kind: str a string, dict an object, list an array. Numbers go
-    through check_int and check_number instead."""
+    """Checker, called as check(value, name), of one kind of JSON value: str a
+    string, dict an object, list an array; numbers go through check_int and check_number."""
     def value_of(value, name):
         if not isinstance(value, kind):
             raise ValidationError("%s must be a JSON %s, got %r" % (name, kind.__name__, value))
@@ -41,25 +29,46 @@ def json_value(kind):
     return value_of
 
 
+def _numbers(x, what):
+    """x as a float array of finite ints or floats; a bool, string or object array,
+    ragged rows, NaN, inf and a list holding a bool (read as 0 or 1) are ValidationErrors."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise ValidationError("%s must be rows of equal length" % what) from None
+    if a.dtype.kind not in "iuf" or (a is not x and not {bool, np.bool_}.isdisjoint(
+            map(type, np.array(x, dtype=object).flat))):
+        raise ValidationError("%s must be numbers, not bools, strings or objects" % what)
+    if not np.isfinite(a).all():
+        raise ValidationError("%s must be finite" % what)
+    return a.astype(float, copy=False)
+
+
 def check_points(x, d=None, owner=None):
-    """x as a float (n, d) array of finite coordinates, one row per point;
-    d None takes any d. Any other shape, or a NaN or infinite coordinate, is
-    a ValidationError, whose message names owner for a wrong d."""
-    x = np.asarray(x, dtype=float)
+    """x as a float (n, d) array of finite int or float coordinates, one row
+    per point; d None takes any d. Any other shape or dtype (bool, string,
+    object), a list holding a bool, ragged rows, or a NaN or infinite
+    coordinate is a ValidationError, whose message names owner for a wrong d."""
+    x = _numbers(x, "points")
     if x.ndim != 2:
         raise ValidationError("points must be an (n, d) array, got shape %s" % (x.shape,))
     if d is not None and x.shape[1] != d:
         raise ValidationError("%s has d = %d, points have d = %d" % (owner, d, x.shape[1]))
-    if not np.isfinite(x).all():
-        raise ValidationError("points must have finite coordinates")
     return x
 
 
+def check_values(u, n):
+    """u as a float (n,) array, one finite number per node, under check_points' number rule."""
+    u = _numbers(u, "node values")
+    if u.shape != (n,):
+        raise ValidationError("node values must be an (n,) array, n = %d, got %s" % (n, u.shape))
+    return u
+
+
 def check_labels(y, n):
-    """y as a float (n,) array, once it holds one value 0 or 1 per point,
-    given as int, float or bool. Any other shape or value (0.5, 2, NaN, the
-    string "1") is a ValidationError: the values are checked as given, so a
-    string never passes for the number it spells."""
+    """y as a float (n,) array, once it holds one value 0 or 1 per point, given
+    as int, float or bool. Any other shape or value (0.5, 2, NaN, the string
+    "1") is a ValidationError: a string never passes for the number it spells."""
     y = np.asarray(y)
     if y.shape != (n,):
         raise ValidationError("labels must be an (n,) array with n = %d, got shape %s"
@@ -89,6 +98,30 @@ def check_number(value, name, lo=-np.inf, hi=np.inf):
         raise ValidationError("%s must be %s, got %r" % (
             name, rule.get((lo, hi), "a number in (%g, %g)" % (lo, hi)), value))
     return float(value)
+
+
+def read_field(record, key, kind, where):
+    """kind(record[key], key); a missing, null or malformed field is a ValidationError."""
+    try:
+        value = record[key]
+        if value is None:   # JSON null, or csv's fill for the fields a short row lacks
+            raise KeyError(key)
+        return kind(value, key)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError("%s: missing or malformed %r (%s)" % (where, key, exc)) from None
+
+
+def read_object(obj, kinds, where, **defaults):
+    """{key: kinds[key](obj[key], key)} for a JSON object obj, absent keys
+    taking defaults; not an object, or an unknown or absent key, is a
+    ValidationError. The one reader of JSON objects."""
+    if not isinstance(obj, dict):
+        raise ValidationError("%s must be a JSON object" % where)
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ValidationError("%s has unknown keys %s" % (where, unknown))
+    obj = {**defaults, **obj}
+    return {key: read_field(obj, key, kind, where) for key, kind in kinds.items()}
 
 
 def read_text(path):

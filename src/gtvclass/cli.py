@@ -26,8 +26,8 @@ from time import perf_counter
 
 import numpy as np
 
-from . import (ValidationError, check_int, check_keys, check_labels, check_number, json_value,
-               read_json, read_text)
+from . import (ValidationError, check_int, check_labels, check_number, json_value, read_field,
+               read_json, read_object, read_text)
 from .graph import build, gtv, num_components
 from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
                           sample, save_cloud)
@@ -74,18 +74,6 @@ def _emit_json(record, args, out=None):
     print(text)
 
 
-def _field(record, key, kind, where):
-    """kind(record[key], key); a missing, null or malformed field is a ValidationError."""
-    try:
-        value = record[key]
-        if value is None:   # JSON null, or csv's fill for the fields a short row lacks
-            raise KeyError(key)
-        return kind(value, key)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("%s: missing or malformed %r (%s)"
-                              % (where, key, exc)) from None
-
-
 def _int_flag(lo):
     """A flag's text as an integer >= lo."""
     def integer(text):
@@ -102,14 +90,8 @@ def _ints(lo):
     return integers
 
 
-def _read(raw, kinds, where, **defaults):
-    """{key: kinds[key](raw[key], key)}; unknown or absent keys are a ValidationError."""
-    raw = {**defaults, **check_keys(raw, kinds, where)}
-    return {key: _field(raw, key, kind, where) for key, kind in kinds.items()}
-
-
 def _load_solution(path, cloud):
-    return _field(read_json(path), "u_binary", lambda v, _: check_labels(v, cloud.n), path)
+    return read_field(read_json(path), "u_binary", lambda v, _: check_labels(v, cloud.n), path)
 
 
 def _rule_value(rule, n, of, *args):
@@ -127,8 +109,8 @@ class SweepConfig:
     """Validated sweep description: each key of KEYS becomes an attribute.
 
     eps_rule {c, a} is c * n^-a. lambda_rule {regime, c, b} depends on the
-    regime tag: overfit c*eps*n^-b, consistent c*n^-b, fixed c, underfit
-    c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
+    regime tag: overfit c*eps*n^-b, consistent c*n^-b, fixed c (no b key),
+    underfit c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
     """
 
     KEYS = {"model": json_value(str), "n_list": _ints(1), "eps_rule": json_value(dict),
@@ -136,17 +118,18 @@ class SweepConfig:
             "test_m": lambda v, name: check_int(v, name, 100), "report": json_value(str)}
 
     def __init__(self, raw):
-        self.__dict__.update(_read(raw, self.KEYS, "sweep config", kernel="indicator",
-                                   test_m=2000, report="report.csv"))
-        self.eps_c, self.eps_a = _read(
+        self.__dict__.update(read_object(raw, self.KEYS, "sweep config", kernel="indicator",
+                                         test_m=2000, report="report.csv"))
+        self.eps_c, self.eps_a = read_object(
             self.eps_rule, {"c": check_number, "a": check_number}, "eps_rule").values()
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
-            raise ValidationError("lambda_rule.regime must be one of %s"
-                                  % (REGIMES,))
-        _, self.lam_c, self.lam_b = _read(
-            self.lambda_rule, {"regime": json_value(str), "c": check_number, "b": check_number},
-            "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0).values()
+            raise ValidationError("lambda_rule.regime must be one of %s" % (REGIMES,))
+        rule = read_object(
+            self.lambda_rule, {"regime": json_value(str), "c": check_number,
+                               **({} if self.regime == "fixed" else {"b": check_number})},
+            "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0)
+        self.lam_c, self.lam_b = rule["c"], rule.get("b")
         # each rule must give a positive, finite value at every n of n_list
         for n in self.n_list:
             eps = _rule_value("eps_rule", n, self.eps_of, n)
@@ -256,13 +239,12 @@ def _svg_doc(title, body):
 
 
 def _scatter_svg(points, values, title):
-    pts = np.asarray(points, dtype=float)
-    xy = pts[:, :2] if pts.shape[1] >= 2 else np.column_stack(
-        [pts[:, 0], np.full(len(pts), 0.5)])
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
+    # points and values as load_cloud and _load_solution checked them
+    xy = points[:, :2] if points.shape[1] >= 2 else np.column_stack(
+        [points[:, 0], np.full(len(points), 0.5)])
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
     body = []
-    for p, v in zip(xy, np.asarray(values, dtype=float)):
+    for p, v in zip(xy, values):
         cx = _px(p[0], lo[0], hi[0], _ML + 6, _W - _MR - 6)
         cy = _px(p[1], lo[1], hi[1], _H - _MB - 6, _MT + 6)
         body.append('<circle cx="%.2f" cy="%.2f" r="2.5" fill="%s"/>'
@@ -371,10 +353,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_tl1(args):
-    a = load_cloud(args.a)
-    b = load_cloud(args.b)
-    r = tl1_exact(a.points, a.labels.astype(float),
-                  b.points, b.labels.astype(float))
+    a, b = load_cloud(args.a), load_cloud(args.b)
+    r = tl1_exact(a.points, a.labels, b.points, b.labels)
     _emit_json({"n": a.n, "cost": r.cost,
                 "sup_displacement": r.sup_displacement}, args, args.out)
     return 0
@@ -410,7 +390,7 @@ def _cmd_plot(args):
             raise ValidationError("report %s is empty" % args.report)
         groups = {}   # regime -> n -> excess risks
         for r in raw:
-            tag, n, e = (_field(r, key, kind, args.report) for key, kind in
+            tag, n, e = (read_field(r, key, kind, args.report) for key, kind in
                          (("regime", lambda text, _: text),
                           ("n", lambda text, key: check_int(int(text), key, 1)),
                           ("excess_risk", lambda text, key: check_number(float(text), key))))

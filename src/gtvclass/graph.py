@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from . import ValidationError, check_number, check_points
+from . import ValidationError, check_number, check_points, check_values
 from . import kernels
 
 
@@ -72,9 +72,7 @@ def build(cloud, eps, profile):
 def gtv(graph, u):
     """Graph total variation (1/(n^2 eps^(d+1))) sum_ij eta(|x_i-x_j|/eps)|u_i-u_j|,
     computed as (2/(n^2 eps)) sum over stored edges of w_ij |u_i - u_j|."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValidationError("node function has wrong length")
+    u = check_values(u, graph.n)
     return 2.0 / (graph.n ** 2 * graph.eps) * float(
         np.sum(graph.w * np.abs(u[graph.ei] - u[graph.ej])))
 

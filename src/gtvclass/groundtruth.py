@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import (ValidationError, check_int, check_keys, check_labels, check_number,
-               check_points, json_value, read_json, read_text)
+from . import (ValidationError, check_int, check_labels, check_number, check_points,
+               json_value, read_json, read_object, read_text)
 
 
 class Cells:
@@ -30,11 +30,12 @@ class Cells:
         if not cells:
             raise ValidationError("empty %s partition" % what)
         self.box_lo, self.box_hi = box_lo, box_hi
-        self.lo = np.array([np.asarray(c[0], dtype=float) for c in cells])
-        self.hi = np.array([np.asarray(c[1], dtype=float) for c in cells])
-        self.value = np.array([float(c[2]) for c in cells])
-        if self.lo.shape[1:] != box_lo.shape or self.hi.shape != self.lo.shape:
+        # read as objects, so that a scalar, short or long corner is a dimension mismatch
+        corners = np.array([c[0] for c in cells] + [c[1] for c in cells], dtype=object)
+        if corners.shape[1:] != box_lo.shape:
             raise ValidationError("%s cell dimension mismatch" % what)
+        self.lo, self.hi = check_points(corners.tolist()).reshape(2, -1, box_lo.size)
+        self.value = np.array([check_number(c[2], "%s value" % what) for c in cells])
         if not np.all(self.hi > self.lo):
             raise ValidationError("%s cells must have positive extent" % what)
         if np.any(self.lo < box_lo - 1e-12) or np.any(self.hi > box_hi + 1e-12):
@@ -105,17 +106,13 @@ class GroundTruthModel:
     """
 
     def __init__(self, lo, hi, density_cells, mu_cells, name="model"):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.ndim != 1 or self.lo.shape != self.hi.shape:
-            raise ValidationError("domain lo/hi must be d-vectors of equal length")
+        self.lo, self.hi = check_points([lo, hi])
         if not np.all(self.hi > self.lo):
             raise ValidationError("domain must have positive extent")
         self.d = self.lo.size
-        self.name = str(name)
+        self.name = json_value(str)(name, "name")
         self.rho = Cells(density_cells, self.lo, self.hi, "density")
         self.mu = Cells(mu_cells, self.lo, self.hi, "mu")
-        # written so that NaN fails each check
         if not np.all(self.rho.value > 0):
             raise ValidationError("density must be strictly positive on every cell")
         mass = float(np.sum(self.rho.mass))
@@ -165,10 +162,12 @@ class LabeledCloud:
 def sample(model, n, seed):
     """Draw n i.i.d. samples: x from rho (cell by mass, uniform within), then
     y = 1 with probability mu(x). Philox counter-based stream, so identical
-    seeds reproduce the cloud bit for bit; seed may be an int or a tuple
-    (tuples keep independent draws, e.g. test sets, on separate streams).
+    seeds reproduce the cloud bit for bit; seed is an int >= 0 or a tuple of
+    them (tuples keep independent draws, e.g. test sets, on separate streams).
     """
     n = check_int(n, "n", 1)
+    seed = (tuple(check_int(s, "seed", 0) for s in seed) if isinstance(seed, tuple)
+            else check_int(seed, "seed", 0))
     rng = np.random.Generator(np.random.Philox(seed))
     cum = np.cumsum(model.rho.mass)
     cum[-1] = 1.0
@@ -274,19 +273,16 @@ BUILTIN_MODELS = {"quadrant": quadrant_model, "asymmetric": asymmetric_model,
 # -- persistence ------------------------------------------------------------
 
 def model_from_dict(obj):
-    def vector(v, name):
-        return [check_number(t, name) for t in json_value(list)(v, name)]
-    def cell(c, key):
-        c = check_keys(c, ("lo", "hi", "value"), key)
-        return vector(c["lo"], "lo"), vector(c["hi"], "hi"), check_number(c["value"], "value")
-    try:
-        check_keys(obj, ("name", "domain", "density_cells", "mu_cells"), "model")
-        dom = check_keys(obj["domain"], ("lo", "hi"), "domain")
-        dens, mu = ([cell(c, key) for c in obj[key]] for key in ("density_cells", "mu_cells"))
-        return GroundTruthModel(vector(dom["lo"], "lo"), vector(dom["hi"], "hi"), dens, mu,
-                                name=json_value(str)(obj.get("name", "model"), "name"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError("malformed model description: %s" % e) from None
+    """The model a JSON object describes; the constructor checks its values."""
+    def as_is(value, _):
+        return value
+    def fields(*keys):   # an object's values, in the order of keys
+        return lambda v, key: tuple(read_object(v, dict.fromkeys(keys, as_is), key).values())
+    def cells(value, key):
+        return [fields("lo", "hi", "value")(c, key) for c in json_value(list)(value, key)]
+    m = read_object(obj, {"name": as_is, "domain": fields("lo", "hi"), "density_cells": cells,
+                          "mu_cells": cells}, "model", name="model")
+    return GroundTruthModel(*m["domain"], m["density_cells"], m["mu_cells"], m["name"])
 
 
 def load_model(path):

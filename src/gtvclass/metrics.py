@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ValidationError, check_int, check_labels, check_number, check_points
+from . import ValidationError, check_int, check_labels, check_number, check_points, check_values
 from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
@@ -124,16 +124,12 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     """
     xa = check_points(points_a)
     xb = check_points(points_b, xa.shape[1], "first point set")
-    fa, fb = np.asarray(f_a, dtype=float), np.asarray(f_b, dtype=float)
     if xa.shape[0] != xb.shape[0]:
         raise ValidationError("equal point counts required; unequal sizes are out of scope")
     if xa.shape[0] == 0:
         raise ValidationError("empty point sets")
-    if fa.shape != (xa.shape[0],) or fb.shape != (xb.shape[0],):
-        raise ValidationError("need one function value per point")
-    if not (np.isfinite(fa).all() and np.isfinite(fb).all()):
-        raise ValidationError("function values must be finite")
     n = xa.shape[0]
+    fa, fb = check_values(f_a, n), check_values(f_b, n)
     if n > ASSIGNMENT_BUDGET:
         raise ValidationError("assignment budget is n <= %d" % ASSIGNMENT_BUDGET)
     # imported here: scipy.optimize costs every process about 9 MB, and only TL1 needs it
@@ -207,7 +203,7 @@ def transport_bracket(cloud, model):
     The grid only approximates the model's measure nu, so grid-to-cloud
     distances bound d_inf(nu, nu_n) only up to the grid's own distance to nu.
     """
-    points = np.asarray(cloud.points if hasattr(cloud, "points") else cloud, dtype=float)
+    points = check_points(cloud.points if hasattr(cloud, "points") else cloud)
     model.rho_at(points)  # a ValidationError for another shape or outside the domain
     n = points.shape[0]
     if n == 0:
@@ -297,7 +293,7 @@ def gamma_check(model, profile, n_list, eps_rule, seed):
     for i, n in enumerate(n_list):
         n = check_int(n, "n", 1)
         cloud = sample(model, n, (seed, i))
-        eps = float(eps_rule(n))
+        eps = check_number(eps_rule(n), "eps", 0)
         val = gtv(build(cloud, eps, profile), bayes_classify(model, cloud.points))
         abs_err = abs(val - target)
         rows.append({

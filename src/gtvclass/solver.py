@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (breadth_first_order, maximum_flow,
                                   reverse_cuthill_mckee)
 
-from . import ValidationError, check_int, check_labels, check_number
+from . import ValidationError, check_int, check_labels, check_number, check_values
 from .graph import _adjacency, gtv
 
 
@@ -48,9 +48,8 @@ class SolveResult:
 
 
 def energy(graph, labels, lam, u):
-    """E(u); gtv refuses a u of the wrong shape."""
-    y = check_labels(labels, graph.n)
-    u = np.asarray(u, dtype=float)
+    """E(u), for u one finite number per node."""
+    y, u = check_labels(labels, graph.n), check_values(u, graph.n)
     return check_number(lam, "lambda", 0) * gtv(graph, u) + float(np.abs(u - y).mean())
 
 
@@ -183,10 +182,8 @@ def binarize(graph, labels, lam, u):
     the winner's energy never exceeds energy(u). Cost O((n + m) log n): all
     candidates are scored at once by prefix sums over threshold indices.
     """
-    u = np.asarray(u, dtype=float)
+    u = check_values(u, graph.n)
     y = check_labels(labels, graph.n)
-    if u.shape != (graph.n,):
-        raise ValidationError("node function has wrong length")
     thresholds = np.unique(np.concatenate([u, [0.5]]))
     k, n = thresholds.size, graph.n
     scale = 2.0 * check_number(lam, "lambda", 0) / (n ** 2 * graph.eps)

@@ -181,8 +181,9 @@ def test_sweep_config_rule_keys():
     # consistent regime: c * n^(-b), with b = 1/4 when absent
     assert lam({"regime": "consistent", "c": 1, "b": 0.5}) == pytest.approx(0.01, rel=1e-12)
     assert lam({"regime": "consistent", "c": 1}) == pytest.approx(0.1, rel=1e-12)
+    # fixed gives c at every n, so a b there would change nothing
     for bad in ({"regime": "consistent", "c": 1, "a": 0.5},
-                {"regime": "fixed", "c": 1, "scale": 2}):
+                {"regime": "fixed", "c": 1, "scale": 2}, {"regime": "fixed", "c": 1, "b": 5}):
         with pytest.raises(ValidationError, match="lambda_rule has unknown keys"):
             SweepConfig(dict(base, lambda_rule=bad))
     with pytest.raises(ValidationError, match="eps_rule has unknown keys"):
@@ -415,6 +416,21 @@ def test_readme_sweep_config_is_every_accepted_key():
     raw = json.loads(block.group(1))
     SweepConfig(raw)
     assert set(raw) == set(SweepConfig.KEYS)
+
+
+def test_readme_quickstart_runs():
+    # the README's library example, run as written in a fresh interpreter,
+    # exits 0 and prints finite numbers
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"## Quickstart \(library\)\s*```python\n(.*?)```",
+                      (root / "README.md").read_text(), re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    numbers = [float(t) for t in out.stdout.split()]
+    assert numbers and np.all(np.isfinite(numbers))
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -319,6 +319,52 @@ def test_cells_refuse_corners_of_another_dimension(cell):
             gt.GroundTruthModel((0, 0), (1, 1), dens, mu)
 
 
+def one_d(lo=(0,), hi=(1,), rho=((0,), (1,), 1.0), mu=((0,), (1,), 0.3), name="m"):
+    return gt.GroundTruthModel(lo, hi, [rho], [mu], name=name)
+
+
+# a model built in code is held to the model JSON's rule: a bool or a string
+# is never a number, and the constructor itself refuses each of these
+BAD_MODELS = {
+    "density value string": lambda: one_d(rho=((0,), (1,), "1")),
+    "density value bool": lambda: one_d(rho=((0,), (1,), True)),
+    "mu value string": lambda: one_d(mu=((0,), (1,), "0.3")),
+    "mu value bool": lambda: one_d(mu=((0,), (1,), True)),
+    "domain string": lambda: one_d(lo=("0",)),
+    "domain bool": lambda: one_d(lo=(True,), hi=(2,), rho=((1,), (2,), 1.0), mu=((1,), (2,), 0.3)),
+    "corner bool": lambda: one_d(mu=((False,), (1,), 0.3)),
+    "corner string": lambda: one_d(rho=((0,), ("1",), 1.0)),
+    "ragged mu partition": lambda: gt.GroundTruthModel(
+        (0, 0), (1, 1), [((0, 0), (1, 1), 1.0)], [((0, 0), (0.5, 1), 0.3), ((0.5,), (1, 1), 0.6)]),
+    "ragged mu corner": lambda: gt.GroundTruthModel(
+        (0, 0), (1, 1), [((0, 0), (1, 1), 1.0)], [(((0, 0), (1,)), (1, 1), 0.3)]),
+    "name": lambda: one_d(name=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_model_constructor_refuses_what_model_json_refuses(case):
+    one_d()   # the unedited model builds
+    with pytest.raises(ValidationError):
+        BAD_MODELS[case]()
+
+
+def test_sample_seed_is_an_int_or_a_tuple_of_ints():
+    model = gt.quadrant_model()
+    for seed in (None, True, -1, (1, -2), (1, True), 1.5, "a", [7, 1], ((7, 1), 2)):
+        with pytest.raises(ValidationError):
+            gt.sample(model, 2, seed)
+    # the seeds taken draw the bits they always drew
+    for seed, points in (
+            (0, [[0.47156538101528966, 0.0914196711073687],
+                 [0.9791345000654033, 0.25608390326933783]]),
+            (np.int64(3), [[0.2098749737663479, 0.9616973920365175],
+                           [0.9602116381055299, 0.7253784428643999]]),
+            ((7, 1), [[0.7639735873046407, 0.6271176535208199],
+                      [0.5424728624129731, 0.7814134189280717]])):
+        assert gt.sample(model, 2, seed).points.tolist() == points
+
+
 def test_model_json_round_trip(tmp_path):
     m = gt.asymmetric_model()
     p = tmp_path / "model.json"

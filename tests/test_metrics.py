@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from gtvclass import ValidationError
 from gtvclass import metrics as mx
 from gtvclass import groundtruth as gt
-from gtvclass.graph import build
+from gtvclass.graph import build, gtv
 from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud, asymmetric_model,
                                   bayes_classify, bayes_risk, halfplane_model,
                                   noisy_halfplane_model, quadrant_model, risk_of_constant,
@@ -916,6 +916,11 @@ def test_point_arrays_are_n_by_d(name, d):
     bad = [x[:, 0], x[None]]
     if checks_d:
         bad += [np.hstack([x, x])] + ([x[:, :1]] if d > 1 else [])
+    # coordinates are ints or floats: a bool or string array, a bool inside a
+    # list of floats and rows of different lengths are refused
+    rows = x.tolist()
+    bad += [x > 0.5, x.astype(str), rows[:-1] + [[True] + rows[-1][1:]],
+            rows[:-1] + [rows[-1] * 2]]
     for b in bad:
         with pytest.raises(ValidationError):
             call(model, b)
@@ -996,6 +1001,55 @@ def test_labels_must_be_one_0_or_1_per_point(name, case, tmp_path):
     x, y = labeled_points()
     with pytest.raises(ValidationError):
         LABEL_TAKERS[name](x, BAD_LABELS[case](y), tmp_path)
+
+
+# ---------------------------------------------------------------- node values
+
+# every public entry that takes one real value per node, as a call on (n, 2)
+# points x and the values u
+VALUE_TAKERS = {
+    "gtv": lambda x, u: gtv(graph_on(x), u),
+    "energy": lambda x, u: energy(graph_on(x), np.zeros(len(x)), 0.1, u),
+    "binarize": lambda x, u: binarize(graph_on(x), np.zeros(len(x)), 0.1, u),
+    "tl1_exact f_a": lambda x, u: mx.tl1_exact(x, u, x, np.zeros(len(x))),
+    "tl1_exact f_b": lambda x, u: mx.tl1_exact(x, np.zeros(len(x)), x, u),
+}
+
+# values that are not one finite number per node, made from valid (n,) floats u
+BAD_VALUES = {
+    "scalar": lambda u: u[0],
+    "column": lambda u: u[:, None],
+    "one-more": lambda u: np.append(u, 0.5),
+    "one-fewer": lambda u: u[:-1],
+    "nan": lambda u: np.where(np.arange(u.size) == 2, np.nan, u),
+    "inf": lambda u: np.where(np.arange(u.size) == 2, np.inf, u),
+    "-inf": lambda u: np.where(np.arange(u.size) == 2, -np.inf, u),
+    "bool": lambda u: u > 0.5,
+    "string": lambda u: u.astype(str),
+    "bool in a list": lambda u: [True, *u[1:].tolist()],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TAKERS))
+def test_values_given_as_int_or_float_are_taken(name):
+    x, y = labeled_points()
+    call = VALUE_TAKERS[name]
+    for u in (y, y.astype(np.int32), np.linspace(0, 1, len(x)), np.linspace(0, 1, len(x)).tolist()):
+        call(x, u)
+    # an int array is read as the floats it holds
+    def read(r):
+        return (r.cost, r.sup_displacement) if hasattr(r, "cost") else np.asarray(r).tolist()
+    assert read(call(x, y)) == read(call(x, y.astype(float)))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+@pytest.mark.parametrize("name", sorted(VALUE_TAKERS))
+def test_values_must_be_one_finite_number_per_node(name, case):
+    x = labeled_points()[0]
+    u = np.linspace(0, 1, len(x))
+    with pytest.raises(ValidationError, match="finite" if "inf" in case or case == "nan"
+                       else None):
+        VALUE_TAKERS[name](x, BAD_VALUES[case](u))
 
 
 # ---------------------------------------------------------------- numbers
