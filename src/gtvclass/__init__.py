@@ -29,31 +29,32 @@ def json_value(kind):
     return value_of
 
 
-def _numbers(x, what):
-    """x as a float array of finite ints or floats; a bool, string or object array,
-    ragged rows, NaN, inf and a list holding a bool (read as 0 or 1) are ValidationErrors."""
+def _numbers(x, what, bools=False):
+    """x as a float array of finite ints or floats, or of bools if bools; a string or object
+    array, ragged rows, NaN, inf and, unless bools, any bool are ValidationErrors."""
     try:
         a = np.asarray(x)
     except ValueError:
         raise ValidationError("%s must be rows of equal length" % what) from None
-    if a.dtype.kind not in "iuf" or (a is not x and not {bool, np.bool_}.isdisjoint(
-            map(type, np.array(x, dtype=object).flat))):
-        raise ValidationError("%s must be numbers, not bools, strings or objects" % what)
+    if a.dtype.kind not in ("biuf" if bools else "iuf") or (not bools and a is not x and not {
+            bool, np.bool_}.isdisjoint(map(type, np.array(x, dtype=object).flat))):
+        raise ValidationError("%s must be numbers, not %sstrings or objects"
+                              % (what, "" if bools else "bools, "))
     if not np.isfinite(a).all():
         raise ValidationError("%s must be finite" % what)
     return a.astype(float, copy=False)
 
 
-def check_points(x, d=None, owner=None):
+def check_points(x, d=None, what="points"):
     """x as a float (n, d) array of finite int or float coordinates, one row
     per point; d None takes any d. Any other shape or dtype (bool, string,
     object), a list holding a bool, ragged rows, or a NaN or infinite
-    coordinate is a ValidationError, whose message names owner for a wrong d."""
-    x = _numbers(x, "points")
+    coordinate is a ValidationError, whose message names what is checked."""
+    x = _numbers(x, what)
     if x.ndim != 2:
-        raise ValidationError("points must be an (n, d) array, got shape %s" % (x.shape,))
+        raise ValidationError("%s must be an (n, d) array, got shape %s" % (what, x.shape))
     if d is not None and x.shape[1] != d:
-        raise ValidationError("%s has d = %d, points have d = %d" % (owner, d, x.shape[1]))
+        raise ValidationError("%s must have d = %d, got d = %d" % (what, d, x.shape[1]))
     return x
 
 
@@ -66,16 +67,16 @@ def check_values(u, n):
 
 
 def check_labels(y, n):
-    """y as a float (n,) array, once it holds one value 0 or 1 per point, given
-    as int, float or bool. Any other shape or value (0.5, 2, NaN, the string
-    "1") is a ValidationError: a string never passes for the number it spells."""
-    y = np.asarray(y)
+    """y as a new float (n,) array, once it holds one value 0 or 1 per point, given as
+    int, float or bool. Any other shape or value (0.5, 2, NaN, the string "1", ragged
+    rows) is a ValidationError: a string never passes for the number it spells."""
+    y = _numbers(y, "labels", bools=True)
     if y.shape != (n,):
         raise ValidationError("labels must be an (n,) array with n = %d, got shape %s"
                               % (n, y.shape))
-    if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+    if not np.isin(y, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
-    return y.astype(float)
+    return y.copy()
 
 
 def check_int(value, name, lo):

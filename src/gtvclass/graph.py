@@ -21,15 +21,12 @@ class NeighborGraph:
     # ei, ej: (m,) int32 with ei < ej, sorted by ei then ej; node numbers
     # are the input order of the points, so n < 2^31
     # w: (m,) eta_eps weights, all positive; every pair with a positive
-    # weight is an edge
-    # degree_sums: (n,) sum_j eta_eps(x_i - x_j) including the j = i term
-    def __init__(self, n, eps, ei, ej, w, degree_sums):
-        self.n = int(n)
-        self.eps = float(eps)
+    # weight is an edge; d is the dimension of the points
+    def __init__(self, n, d, eps, ei, ej, w):
+        self.n, self.d, self.eps = int(n), int(d), float(eps)
         self.ei = np.asarray(ei, dtype=np.int32)
         self.ej = np.asarray(ej, dtype=np.int32)
         self.w = np.asarray(w, dtype=float)
-        self.degree_sums = np.asarray(degree_sums, dtype=float)
 
     @property
     def m(self):
@@ -61,12 +58,9 @@ def build(cloud, eps, profile):
     w = kernels.eval(profile, np.sqrt(sq) / eps) / eps ** d
     keep = w > 0
     gi, gj, w = gi[keep], gj[keep], w[keep]
-    deg = (np.bincount(gi, weights=w, minlength=n)
-           + np.bincount(gj, weights=w, minlength=n)).astype(float)
-    deg += 1.0 / eps ** d   # diagonal term eta_eps(0), eta(0) = 1
     # NeighborGraph narrows gi, gj to int32 only now: numpy casts int32
     # indices to intp on every gather, so the gathers above stay int64
-    return NeighborGraph(n, eps, gi, gj, w, deg)
+    return NeighborGraph(n, d, eps, gi, gj, w)
 
 
 def gtv(graph, u):

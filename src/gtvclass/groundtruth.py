@@ -34,7 +34,8 @@ class Cells:
         corners = np.array([c[0] for c in cells] + [c[1] for c in cells], dtype=object)
         if corners.shape[1:] != box_lo.shape:
             raise ValidationError("%s cell dimension mismatch" % what)
-        self.lo, self.hi = check_points(corners.tolist()).reshape(2, -1, box_lo.size)
+        corners = check_points(corners.tolist(), what="%s cell corners" % what)
+        self.lo, self.hi = corners.reshape(2, -1, box_lo.size)
         self.value = np.array([check_number(c[2], "%s value" % what) for c in cells])
         if not np.all(self.hi > self.lo):
             raise ValidationError("%s cells must have positive extent" % what)
@@ -79,7 +80,7 @@ class Cells:
     def index(self, x):
         """Id of the cell holding each row of the (n, d) array x, under the
         module's cell conventions; a point in no cell is a ValidationError."""
-        x = check_points(x, self.box_lo.size, "model")
+        x = check_points(x, self.box_lo.size, "points in the model's domain")
         if np.any(x < self.box_lo - 1e-12) or np.any(x > self.box_hi + 1e-12):
             raise ValidationError("point outside the domain")
         faces, ids = self._table
@@ -106,7 +107,7 @@ class GroundTruthModel:
     """
 
     def __init__(self, lo, hi, density_cells, mu_cells, name="model"):
-        self.lo, self.hi = check_points([lo, hi])
+        self.lo, self.hi = check_points([lo, hi], what="domain lo, hi")
         if not np.all(self.hi > self.lo):
             raise ValidationError("domain must have positive extent")
         self.d = self.lo.size

@@ -21,7 +21,7 @@ eta(0) for the exponential and ~1e-14 for the gaussian.
 import numpy as np
 from scipy.special import gamma as _gamma, gammainc
 
-from . import ValidationError, check_int
+from . import ValidationError, _numbers, check_int
 
 SUPPORT_RADIUS = {"indicator": 1.0, "exponential": 40.0, "gaussian": 8.0}
 SHAPES = tuple(SUPPORT_RADIUS)
@@ -47,8 +47,8 @@ class KernelProfile:
 
 
 def eval(profile, r):
-    """eta(r) for scalar or array r >= 0 (truncated profiles return 0 past support)."""
-    r = np.asarray(r, dtype=float)
+    """eta(r) for finite r >= 0, scalar or array (truncated profiles return 0 past support)."""
+    r = _numbers(r, "kernel argument")
     if np.any(r < 0):
         raise ValidationError("kernel argument must be nonnegative")
     if profile.shape == "indicator":

@@ -21,7 +21,8 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from . import ValidationError, check_int, check_labels, check_number, check_points, check_values
+from . import (ValidationError, _numbers, check_int, check_labels, check_number, check_points,
+               check_values)
 from .graph import build, gtv
 from .groundtruth import bayes_classify, bayes_tv, sample
 from .kernels import surface_tension
@@ -35,7 +36,8 @@ ASSIGNMENT_BUDGET = 4096
 def empirical_risk(u, labels):
     """The fraction of points where the labeling u and the labels disagree;
     each is one 0 or 1 per point."""
-    u = check_labels(u, np.size(u))
+    u = _numbers(u, "labels", bools=True)
+    u = check_labels(u, u.size)
     return float(np.mean(np.abs(u - check_labels(labels, u.size))))
 
 
@@ -60,7 +62,7 @@ class VoronoiClassifier:
 
     def nearest(self, x):
         """(distance, index) of the nearest reference point to each row of x."""
-        x = check_points(x, self.points.shape[1], "reference cloud")
+        x = check_points(x, self.points.shape[1], "queries of the reference cloud")
         return self._tree.query(x, k=1)
 
     def __call__(self, x):
@@ -83,7 +85,7 @@ def test_risk(classifier, model, m, seed):
     the plug-in binomial confidence interval). Unbiased for the true risk.
     """
     fresh = _fresh(model, m, seed)
-    pred = np.asarray(classifier(fresh.points), dtype=float)
+    pred = check_labels(classifier(fresh.points), fresh.n)
     p = float(np.mean(np.abs(pred - fresh.labels)))
     return p, float(1.96 * np.sqrt(p * (1.0 - p) / m))
 
@@ -95,7 +97,7 @@ def bayes_agreement(classifier, model, m, seed):
     classifier, estimated by Monte-Carlo.
     """
     fresh = _fresh(model, m, seed)
-    pred = np.asarray(classifier(fresh.points), dtype=float)
+    pred = check_labels(classifier(fresh.points), fresh.n)
     return float(np.mean(pred == bayes_classify(model, fresh.points)))
 
 
@@ -122,8 +124,8 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     taken as a permutation, so this is the genuine TL1 distance between the
     two elements. Unequal sizes (general couplings) are out of scope.
     """
-    xa = check_points(points_a)
-    xb = check_points(points_b, xa.shape[1], "first point set")
+    xa = check_points(points_a, what="first point set")
+    xb = check_points(points_b, xa.shape[1], "second point set")
     if xa.shape[0] != xb.shape[0]:
         raise ValidationError("equal point counts required; unequal sizes are out of scope")
     if xa.shape[0] == 0:
@@ -271,7 +273,7 @@ def concentration_diagnostic(cloud, model, eps):
     genuinely random labels.
     """
     eps = check_number(eps, "eps", 0)
-    resid = model.mu_at(cloud.points) - np.asarray(cloud.labels, dtype=float)
+    resid = model.mu_at(cloud.points) - check_values(cloud.labels, len(cloud.points))
     keys, weights, n_nodes = _tent_partition(cloud.points, model.lo, eps)
     acc = np.zeros(n_nodes)
     np.add.at(acc, keys.ravel(), (resid[:, None] * weights).ravel())

@@ -207,7 +207,9 @@ def binarize(graph, labels, lam, u):
 def certify_overfit(graph, lam):
     """Dual bound s_i = (2 lambda/(eps n)) sum_j eta_eps(x_i - x_j), diagonal
     included. max s_i < 1 guarantees the unique minimizer is the labels."""
-    s = (2.0 * check_number(lam, "lambda", 0) / (graph.eps * graph.n)) * graph.degree_sums
+    c = 2.0 * check_number(lam, "lambda", 0) / (graph.eps * graph.n)
+    deg = np.bincount(graph.ei, graph.w, graph.n) + np.bincount(graph.ej, graph.w, graph.n)
+    s = c * (deg + 1.0 / graph.eps ** graph.d)   # diagonal term eta_eps(0), eta(0) = 1
     smax = float(s.max())
     return smax < 1.0, 1.0 - smax
 

@@ -9,6 +9,7 @@ from gtvclass import ValidationError
 from gtvclass import graph as gr
 from gtvclass import kernels
 from gtvclass.kernels import KernelProfile
+from gtvclass.solver import certify_overfit
 
 
 def direct_build(points, eps, profile):
@@ -80,10 +81,12 @@ def test_build_matches_direct_double_loop():
             assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
             assert g.ei.dtype == g.ej.dtype == np.int32
             assert np.allclose(g.w, w, rtol=1e-12, atol=0)
-            assert np.allclose(g.degree_sums, deg, rtol=1e-12, atol=0)
+            # the certificate's dual bound at lambda = 1 is the largest
+            # degree sum, diagonal term included, times 2/(eps n)
+            margin = certify_overfit(g, 1.0)[1]
+            assert np.isclose(1.0 - margin, 2.0 / (eps * n) * deg.max(), rtol=1e-12, atol=0)
     # node numbers are stored as int32 whatever the width they come in
-    h = gr.NeighborGraph(g.n, g.eps, g.ei.astype(np.int64), g.ej.astype(np.int64),
-                         g.w, g.degree_sums)
+    h = gr.NeighborGraph(g.n, g.d, g.eps, g.ei.astype(np.int64), g.ej.astype(np.int64), g.w)
     assert h.ei.dtype == h.ej.dtype == np.int32
 
 
@@ -131,7 +134,7 @@ def test_build_matches_all_pairs_at_the_cutoff(kind, d, shape, scale, eps, seed)
     assert np.array_equal(g.w, w)
     deg = (np.bincount(ei, weights=w, minlength=len(pts))
            + np.bincount(ej, weights=w, minlength=len(pts)) + 1.0 / eps ** d)
-    assert np.array_equal(g.degree_sums, deg)
+    assert certify_overfit(g, 1.0)[1] == 1.0 - float((2.0 / (eps * len(pts)) * deg).max())
 
 
 def test_build_deterministic_and_sorted():

@@ -15,6 +15,7 @@ from scipy.spatial.distance import cdist
 from gtvclass import ValidationError
 from gtvclass import metrics as mx
 from gtvclass import groundtruth as gt
+from gtvclass import kernels
 from gtvclass.graph import build, gtv
 from gtvclass.groundtruth import (GroundTruthModel, LabeledCloud, asymmetric_model,
                                   bayes_classify, bayes_risk, halfplane_model,
@@ -954,8 +955,16 @@ def solution_taker(*argv):
     return call
 
 
+def predicting(y):
+    # a classifier whose predictions at the 102 fresh points of m = 102 are
+    # the 6 values y, 17 times over; a list is repeated as a list, so that
+    # ragged rows stay ragged
+    return lambda q: y * 17 if isinstance(y, list) else np.tile(y, 17)
+
+
 # every public entry that takes one binary value per point, as a call on
-# (n, 2) points x, the values y and a scratch directory
+# (n, 2) points x, the values y and a scratch directory; a classifier's
+# predictions at fresh points are binary values too
 LABEL_TAKERS = {
     "LabeledCloud": lambda x, y, tmp: LabeledCloud(x, y),
     "solve_brute_force": lambda x, y, tmp: solve_brute_force(graph_on(x), y, 0.1),
@@ -967,6 +976,9 @@ LABEL_TAKERS = {
     "VoronoiClassifier": lambda x, y, tmp: mx.VoronoiClassifier(x, y),
     "empirical_risk": lambda x, y, tmp: mx.empirical_risk(np.ones(len(x)), y),
     "empirical_risk u": lambda x, y, tmp: mx.empirical_risk(y, np.ones(len(x))),
+    "test_risk": lambda x, y, tmp: mx.test_risk(predicting(y), quadrant_model(), 102, 0),
+    "bayes_agreement": lambda x, y, tmp: mx.bayes_agreement(
+        predicting(y), quadrant_model(), 102, 0),
     "risk --solution": solution_taker("risk", "--model", "builtin:quadrant", "--test-m", "100"),
     "plot --solution": solution_taker("plot"),
 }
@@ -981,6 +993,7 @@ BAD_LABELS = {
     "two": lambda y: np.where(np.arange(y.size) == 2, 2, y),
     "nan": lambda y: np.where(np.arange(y.size) == 2, np.nan, y),
     "string": lambda y: [*y[:-1].tolist(), "1"],
+    "ragged": lambda y: [y[:-1].tolist(), y[-1:].tolist()],
 }
 
 
@@ -1006,13 +1019,16 @@ def test_labels_must_be_one_0_or_1_per_point(name, case, tmp_path):
 # ---------------------------------------------------------------- node values
 
 # every public entry that takes one real value per node, as a call on (n, 2)
-# points x and the values u
+# points x and the values u; concentration_diagnostic's labels are soft, mu(x)
+# in its tests
 VALUE_TAKERS = {
     "gtv": lambda x, u: gtv(graph_on(x), u),
     "energy": lambda x, u: energy(graph_on(x), np.zeros(len(x)), 0.1, u),
     "binarize": lambda x, u: binarize(graph_on(x), np.zeros(len(x)), 0.1, u),
     "tl1_exact f_a": lambda x, u: mx.tl1_exact(x, u, x, np.zeros(len(x))),
     "tl1_exact f_b": lambda x, u: mx.tl1_exact(x, np.zeros(len(x)), x, u),
+    "concentration_diagnostic": lambda x, u: mx.concentration_diagnostic(
+        SimpleNamespace(points=x, labels=u), quadrant_model(), 0.3),
 }
 
 # values that are not one finite number per node, made from valid (n,) floats u
@@ -1130,6 +1146,7 @@ NUMBER_TAKERS = {
     "binarize": (unread(lambda v: binarize(*number_graph(), v, np.linspace(0, 1, 6))),
                  "positive"),
     "surface_tension d": (unread(lambda v: surface_tension(KernelProfile("indicator"), v)), 1),
+    "kernels.eval r": (unread(lambda v: kernels.eval(KernelProfile("exp"), v)), "nonnegative"),
     "sample n": (lambda v, tmp: sample(quadrant_model(), v, 0).n, 1),
     "quadrature_points n": (lambda v, tmp: len(mx.quadrature_points(quadrant_model(), v)), 1),
     "gamma_check n_list": (lambda v, tmp: mx.gamma_check(
@@ -1149,7 +1166,8 @@ NUMBER_TAKERS = {
 # the values each rule takes; a rule's integers take no float, and (0, 1) no int
 TAKEN = {"positive": [2, 0.5, np.int64(2), np.float64(0.5)],
          "in (0, 1)": [0.5, np.float64(0.25)],
-         "finite": [1, 0.25, np.int64(1), np.float64(0.25)]}
+         "finite": [1, 0.25, np.int64(1), np.float64(0.25)],
+         "nonnegative": [0, 0.5, np.int64(0), np.float64(0.5)]}
 
 
 def refused(rule):
@@ -1158,7 +1176,8 @@ def refused(rule):
              "-inf": -np.inf}
     if isinstance(rule, int):
         return {**cases, "below": rule - 1, "fraction": 2.5}
-    edges = {"positive": {"zero": 0}, "in (0, 1)": {"zero": 0, "one": 1}, "finite": {}}
+    edges = {"positive": {"zero": 0}, "in (0, 1)": {"zero": 0, "one": 1}, "finite": {},
+             "nonnegative": {"negative": -0.5, "string": "0.5"}}
     return {**cases, **edges[rule]}
 
 
