@@ -34,8 +34,7 @@ from .groundtruth import (BUILTIN_MODELS, bayes_risk, load_cloud, load_model,
 from .kernels import KernelProfile, surface_tension
 from .metrics import (bayes_agreement, empirical_risk, gamma_check, test_risk,
                       tl1_exact, tl1_proxy_1nn, voronoi_extend)
-from .solver import (MAX_ITERS, TOL, SolverConfig, certify_overfit, solve_mincut,
-                     solve_primal_dual)
+from .solver import certify_overfit, solve_mincut
 
 SCHEMA_VERSION = 1
 REGIMES = ("overfit", "consistent", "fixed", "underfit")
@@ -304,42 +303,32 @@ def _cmd_gen(args):
 
 
 def _solve_common(args):
+    # lambda is checked before the dataset is read
+    lam = check_number(args.lam, "lambda", 0)
     cloud = load_cloud(args.data)
     profile = KernelProfile(args.kernel)
     g = build(cloud, args.eps, profile)
-    return cloud, g
+    return cloud, g, lam
 
 
 def _cmd_solve(args):
-    # the options are checked for either method, before the data are read
-    config = SolverConfig(args.lam, max_iters=args.max_iters, tol=args.tol)
-    cloud, g = _solve_common(args)
-    cert, margin = certify_overfit(g, config.lambda_)
-    if args.method == "mincut":
-        res = solve_mincut(g, cloud.labels, config.lambda_)
-    else:
-        res = solve_primal_dual(g, cloud.labels, config)
+    cloud, g, lam = _solve_common(args)
+    cert, margin = certify_overfit(g, lam)
+    res = solve_mincut(g, cloud.labels, lam)
     _emit_json({
         "n": cloud.n, "eps": args.eps, "lambda": args.lam,
         "kernel": args.kernel, "method": res.method, "iters": res.iters,
-        "u": [float(v) for v in res.u],
         "u_binary": [int(v) for v in res.u_binary],
-        "energy_relaxed": res.energy_relaxed,
         "energy_binary": res.energy_binary, "gap": res.gap,
-        "converged": bool(res.converged), "certificate": bool(cert),
-        "margin": margin, "components": num_components(g),
-        "schema_version": SCHEMA_VERSION,
+        "certificate": bool(cert), "margin": margin,
+        "components": num_components(g), "schema_version": SCHEMA_VERSION,
     }, args, args.out)
-    if not res.converged:
-        print("warning: primal-dual uncertified after %d iterations: gap %.6g > "
-              "tol * energy_relaxed %.6g" % (res.iters, res.gap, args.tol * res.energy_relaxed),
-              file=sys.stderr)
     return 0
 
 
 def _cmd_certify(args):
-    cloud, g = _solve_common(args)
-    cert, margin = certify_overfit(g, args.lam)
+    cloud, g, lam = _solve_common(args)
+    cert, margin = certify_overfit(g, lam)
     _emit_json({"n": cloud.n, "eps": args.eps, "lambda": args.lam,
                 "certificate": bool(cert), "margin": margin}, args, args.out)
     return 0
@@ -437,7 +426,7 @@ def _build_parser():
     p = argparse.ArgumentParser(
         prog="gtvclass",
         description="Graph-TV regularized binary classification on point "
-                    "clouds: exact and first-order solvers, TL1 transport "
+                    "clouds: an exact min-cut solver, TL1 transport "
                     "distances, and regime-sweep experiment drivers.")
     # global flags, accepted after the subcommand too; SUPPRESS keeps the
     # subparser from clobbering values already parsed by the main parser
@@ -463,19 +452,12 @@ def _build_parser():
     sp.add_argument("--n", type=_int_flag(1), required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
 
-    for name, fn, extra in (("solve", _cmd_solve, True),
-                            ("certify", _cmd_certify, False)):
+    for name, fn in (("solve", _cmd_solve), ("certify", _cmd_certify)):
         sp = add_parser(name, fn, out=True, help="%s a dataset instance" % name)
         sp.add_argument("--data", required=True, help="dataset CSV")
         sp.add_argument("--eps", type=float, required=True)
         sp.add_argument("--lambda", dest="lam", type=float, required=True)
         sp.add_argument("--kernel", default="indicator")
-        if extra:
-            sp.add_argument("--method", choices=("pd", "mincut"),
-                            default="mincut")
-            # plain numbers: SolverConfig checks them, for either method
-            sp.add_argument("--max-iters", type=int, default=MAX_ITERS)
-            sp.add_argument("--tol", type=float, default=TOL)
 
     sp = add_parser("sweep", _cmd_sweep, help="run a regime sweep from a JSON config")
     sp.add_argument("--config", required=True)

@@ -273,8 +273,9 @@ def concentration_diagnostic(cloud, model, eps):
     genuinely random labels.
     """
     eps = check_number(eps, "eps", 0)
-    resid = model.mu_at(cloud.points) - check_values(cloud.labels, len(cloud.points))
-    keys, weights, n_nodes = _tent_partition(cloud.points, model.lo, eps)
+    x = check_points(cloud.points, model.d)
+    resid = model.mu_at(x) - check_values(cloud.labels, len(x))
+    keys, weights, n_nodes = _tent_partition(x, model.lo, eps)
     acc = np.zeros(n_nodes)
     np.add.at(acc, keys.ravel(), (resid[:, None] * weights).ravel())
     return float(np.abs(acc).sum() / resid.size)

@@ -19,14 +19,11 @@ from . import ValidationError, check_int, check_labels, check_number, check_valu
 from .graph import _adjacency, gtv
 
 
-MAX_ITERS, TOL = 20000, 1e-7   # primal-dual defaults, the CLI's too
-
-
 class SolverConfig:
-    """The solver's options, checked here once for either method: lambda
-    positive and finite, max_iters an integer >= 0, tol in (0, 1)."""
+    """solve_primal_dual's options, checked here once: lambda positive and
+    finite, max_iters an integer >= 0, tol in (0, 1)."""
 
-    def __init__(self, lambda_, max_iters=MAX_ITERS, tol=TOL):
+    def __init__(self, lambda_, max_iters=20000, tol=1e-7):
         # the dual bound is at least 0, so gap <= energy: with tol >= 1 the
         # stop rule would pass at its first check and certify nothing
         self.tol = check_number(tol, "tol", 0, 1)

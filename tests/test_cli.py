@@ -44,8 +44,11 @@ def test_gen_solve_risk_round_trip(tmp_path, capsys):
     assert run(tmp_path, "solve", "--data", str(tmp_path / "data.csv"),
                "--eps", "0.2", "--lambda", "0.0001", "--out", "sol.json") == 0
     sol = json.loads((tmp_path / "sol.json").read_text())
+    assert set(sol) == {"n", "eps", "lambda", "kernel", "method", "iters", "u_binary",
+                        "energy_binary", "gap", "certificate", "margin", "components",
+                        "schema_version"}
     assert sol["certificate"] is True
-    assert sol["u_binary"] == [int(v) for v in sol["u"]]
+    assert 0 <= sol["gap"] <= 1e-4 * sol["energy_binary"]
     capsys.readouterr()
     assert run(tmp_path, "risk", "--data", str(tmp_path / "data.csv"),
                "--model", "builtin:quadrant",
@@ -54,36 +57,6 @@ def test_gen_solve_risk_round_trip(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().out)
     assert rec["empirical_risk"] == 0.0  # certified overfit reproduces labels
     assert rec["excess_risk"] >= -rec["ci_halfwidth"]
-
-
-def test_solve_pd_method(tmp_path, capsys):
-    run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "80",
-        "--out", "d.csv", "--seed", "1")
-    capsys.readouterr()
-    assert run(tmp_path, "solve", "--data", str(tmp_path / "d.csv"),
-               "--eps", "0.25", "--lambda", "0.05", "--method", "pd") == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["method"] == "primal_dual" and rec["iters"] > 0
-    assert rec["energy_binary"] <= rec["energy_relaxed"] + 1e-9
-
-
-def test_solve_pd_uncertified_warns_on_stderr(tmp_path, capsys):
-    run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "80",
-        "--out", "d.csv", "--seed", "1")
-    capsys.readouterr()
-    argv = ["solve", "--data", str(tmp_path / "d.csv"), "--eps", "0.25",
-            "--lambda", "0.05", "--method", "pd"]
-    assert run(tmp_path, *argv) == 0
-    assert capsys.readouterr().err == ""
-    assert run(tmp_path, *argv, "--max-iters", "5") == 0
-    out, err = capsys.readouterr()
-    rec = json.loads(out)
-    assert (rec["iters"], rec["converged"]) == (5, False)
-    # one line, and the JSON on stdout is what --out writes
-    assert err.count("\n") == 1 and err.startswith("warning: ")
-    assert "5 iterations" in err and "gap %.6g" % rec["gap"] in err
-    assert run(tmp_path, *argv, "--max-iters", "5", "--out", "s.json") == 0
-    assert (tmp_path / "s.json").read_text() == out
 
 
 def test_certify_subcommand(tmp_path, capsys):
@@ -312,20 +285,19 @@ BAD_INPUTS = {
                                       "--lambda", value]
        for cmd in ("solve", "certify")
        for name, value in (("negative", "-1"), ("zero", "0"), ("nan", "nan"), ("inf", "inf"))},
+    # lambda is refused before the dataset is read: exit 2, not 3
+    **{"%s-lambda-before-data" % cmd: [cmd, "--data", "{d}/missing.csv", "--eps", "0.3",
+                                       "--lambda", "0"] for cmd in ("solve", "certify")},
     **{"%s-data-%s" % (cmd, name): [cmd, "--data", "{d}/data-%s.csv" % name, "--eps", "0.3",
                                     "--lambda", "0.01"]
        for cmd in ("solve", "certify") for name in ("nan", "inf", "extra-field")},
-    **{"solve-%s-tol-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps", "0.3",
-                                            "--lambda", "0.01", "--method", method,
-                                            "--tol", value]
-       for method in ("pd", "mincut")
-       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"), ("two", "2"),
-                           ("seven", "7"), ("zero", "0"), ("text", "abc"))},
-    **{"solve-%s-max-iters-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps",
-                                                  "0.3", "--lambda", "0.01", "--method",
-                                                  method, "--max-iters", value]
-       for method in ("pd", "mincut")
-       for name, value in (("negative", "-1"), ("fraction", "2.7"), ("bool", "True"))},
+    # the primal-dual method's flags: solve runs min-cut only and refuses them
+    "solve-method-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
+                          "--method", "pd"],
+    "solve-max-iters-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda",
+                             "0.01", "--max-iters", "5"],
+    "solve-tol-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
+                       "--tol", "0.1"],
     "plot-regime-no-report": ["plot", "--data", "{d}/d.csv", "--regime", "nonsense"],
 }
 

@@ -657,6 +657,14 @@ def test_concentration_single_tent_reduction():
         expect, abs=1e-14)
 
 
+def test_concentration_reads_points_given_as_a_list_of_rows():
+    model = quadrant_model()
+    cloud = sample(model, 6, 3)
+    rows = SimpleNamespace(points=cloud.points.tolist(), labels=cloud.labels)
+    assert mx.concentration_diagnostic(rows, model, 0.5) == mx.concentration_diagnostic(
+        cloud, model, 0.5) == 0.29470360023728376
+
+
 def tent_keys_oracle(points, lo, eps):
     # each point's 2^d tent nodes, corners in binary order, numbered by np.unique
     d = points.shape[1]
@@ -1090,8 +1098,8 @@ def solve_flag(flag):
     # the flag spelled as JSON, so that True is true and the string "1" keeps its quotes
     def argv(value, tmp_path):
         gt.save_cloud(LabeledCloud(*labeled_points()), tmp_path / "d.csv")
-        flags = {"--eps": 0.5, "--lambda": 0.1, "--max-iters": 20, flag: value}
-        return ["solve", "--data", str(tmp_path / "d.csv"), "--method", "pd",
+        flags = {"--eps": 0.5, "--lambda": 0.1, flag: value}
+        return ["solve", "--data", str(tmp_path / "d.csv"),
                 *("%s=%s" % (f, json.dumps(v)) for f, v in flags.items())]
     return cli_taker(argv)
 
@@ -1154,8 +1162,6 @@ NUMBER_TAKERS = {
     "test_risk m": (unread(lambda v: mx.test_risk(mx.VoronoiClassifier(*labeled_points()),
                                                   quadrant_model(), v, 0)), 100),
     "solve --lambda": (solve_flag("--lambda"), "positive"),
-    "solve --tol": (solve_flag("--tol"), "in (0, 1)"),
-    "solve --max-iters": (solve_flag("--max-iters"), 0),
     "sweep test_m": (sweep_key(lambda v: {"test_m": v}), 100),
     "sweep n_list": (sweep_key(lambda v: {"n_list": [v]}), 1),
     "sweep seeds": (sweep_key(lambda v: {"seeds": [v]}), 0),
