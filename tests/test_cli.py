@@ -291,7 +291,19 @@ BAD_INPUTS = {
     **{"%s-data-%s" % (cmd, name): [cmd, "--data", "{d}/data-%s.csv" % name, "--eps", "0.3",
                                     "--lambda", "0.01"]
        for cmd in ("solve", "certify") for name in ("nan", "inf", "extra-field")},
-    # the primal-dual method's flags: solve runs min-cut only and refuses them
+    # the primal-dual method's flags, malformed or not: solve runs min-cut only and
+    # refuses them
+    **{"solve-%s-tol-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps", "0.3",
+                                            "--lambda", "0.01", "--method", method,
+                                            "--tol", value]
+       for method in ("pd", "mincut")
+       for name, value in (("inf", "inf"), ("nan", "nan"), ("one", "1"), ("two", "2"),
+                           ("seven", "7"), ("zero", "0"), ("text", "abc"))},
+    **{"solve-%s-max-iters-%s" % (method, name): ["solve", "--data", "{d}/d.csv", "--eps",
+                                                  "0.3", "--lambda", "0.01", "--method",
+                                                  method, "--max-iters", value]
+       for method in ("pd", "mincut")
+       for name, value in (("negative", "-1"), ("fraction", "2.7"), ("bool", "True"))},
     "solve-method-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
                           "--method", "pd"],
     "solve-max-iters-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda",
