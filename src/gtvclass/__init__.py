@@ -4,9 +4,12 @@ Modules:
     kernels      radial kernel profiles, surface tension
     groundtruth  piecewise-constant data distributions, sampling, Bayes quantities
     graph        eps-neighborhood graphs, graph TV, connected components
-    solver       exact (min-cut) and relaxed (primal-dual) minimizers, certificate
+    solver       the exact min-cut minimizer, overfit certificate
     metrics      risks, TL1 distances, infinity-transport distance, concentration diagnostic
     cli          command line driver for datasets, solves, and regime sweeps
+
+Min-cut is the package's solver. Primal-dual (PD) is kept only as the subject of the
+pd_relax benchmark (ROADMAP item 16); its _pd_operator and _dual_bound also serve min-cut's gap.
 """
 
 import json

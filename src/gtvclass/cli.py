@@ -37,7 +37,6 @@ from .metrics import (bayes_agreement, empirical_risk, gamma_check, test_risk,
 from .solver import certify_overfit, solve_mincut
 
 SCHEMA_VERSION = 1
-REGIMES = ("overfit", "consistent", "fixed", "underfit")
 
 REPORT_COLUMNS = [
     "schema_version", "n", "eps", "lambda", "regime", "seed", "method",
@@ -93,23 +92,36 @@ def _load_solution(path, cloud):
     return read_field(read_json(path), "u_binary", lambda v, _: check_labels(v, cloud.n), path)
 
 
-def _rule_value(rule, n, of, *args):
-    """of(*args), once it is positive and finite; an overflow counts as inf."""
+def _rate(rule, n, formula, *args, **consts):
+    """formula(n, *args, **consts), once it is positive and finite; an overflow counts as inf."""
     try:
-        value = of(*args)
+        value = formula(n, *args, **consts)
     except OverflowError:
         value = np.inf
     return check_number(value, "%s at n = %d" % (rule, n), 0)
 
 
+def _eps(n, c, a):
+    return c * n ** (-a)
+
+
 # ------------------------------------------------------------------ sweep
 
-class SweepConfig:
-    """Validated sweep description: each key of KEYS becomes an attribute.
+# lambda at (n, eps) under each regime tag, from lambda_rule's constants
+LAMBDA_RULES = {
+    "overfit": lambda n, eps, c, b: c * eps * n ** (-b),
+    "consistent": lambda n, eps, c, b: c * n ** (-b),
+    "fixed": lambda n, eps, c: c,
+    "underfit": lambda n, eps, c, b: c * n ** b,
+}
+REGIMES = tuple(LAMBDA_RULES)
 
-    eps_rule {c, a} is c * n^-a. lambda_rule {regime, c, b} depends on the
-    regime tag: overfit c*eps*n^-b, consistent c*n^-b, fixed c (no b key),
-    underfit c*n^+b. Unknown keys, at the top level or in either rule, are rejected.
+
+class SweepConfig:
+    """Validated sweep description: each key of KEYS becomes an attribute, and
+    rates[n] is the checked (eps, lambda) of the rows at n. eps_rule {c, a} gives
+    c * n^-a and lambda_rule {regime, c, b} LAMBDA_RULES[regime] (fixed takes no b);
+    every constant is required, and unknown keys, in either rule too, are rejected.
     """
 
     KEYS = {"model": json_value(str), "n_list": _ints(1), "eps_rule": json_value(dict),
@@ -119,33 +131,20 @@ class SweepConfig:
     def __init__(self, raw):
         self.__dict__.update(read_object(raw, self.KEYS, "sweep config", kernel="indicator",
                                          test_m=2000, report="report.csv"))
-        self.eps_c, self.eps_a = read_object(
-            self.eps_rule, {"c": check_number, "a": check_number}, "eps_rule").values()
+        eps_consts = read_object(self.eps_rule, {"c": check_number, "a": check_number}, "eps_rule")
         self.regime = self.lambda_rule.get("regime")
         if self.regime not in REGIMES:
             raise ValidationError("lambda_rule.regime must be one of %s" % (REGIMES,))
-        rule = read_object(
+        lam_of = LAMBDA_RULES[self.regime]
+        lam_consts = read_object(
             self.lambda_rule, {"regime": json_value(str), "c": check_number,
                                **({} if self.regime == "fixed" else {"b": check_number})},
-            "lambda_rule", c=1.0, b=0.25 if self.regime == "consistent" else 0.0)
-        self.lam_c, self.lam_b = rule["c"], rule.get("b")
-        # each rule must give a positive, finite value at every n of n_list
+            "lambda_rule")
+        del lam_consts["regime"]
+        self.rates = {}   # n -> (eps, lambda), each positive and finite
         for n in self.n_list:
-            eps = _rule_value("eps_rule", n, self.eps_of, n)
-            _rule_value("lambda_rule", n, self.lambda_of, n, eps)
-
-    def eps_of(self, n):
-        return self.eps_c * n ** (-self.eps_a)
-
-    def lambda_of(self, n, eps):
-        c, b = self.lam_c, self.lam_b
-        if self.regime == "overfit":
-            return c * eps * n ** (-b)
-        if self.regime == "consistent":
-            return c * n ** (-b)
-        if self.regime == "fixed":
-            return c
-        return c * n ** b
+            eps = _rate("eps_rule", n, _eps, **eps_consts)
+            self.rates[n] = eps, _rate("lambda_rule", n, lam_of, eps, **lam_consts)
 
 
 def _evaluate(cloud, u_binary, model, m, seed):
@@ -164,8 +163,7 @@ def _evaluate(cloud, u_binary, model, m, seed):
 
 def _run_one(model, profile, cfg, n, seed):
     cloud = sample(model, n, seed)
-    eps = cfg.eps_of(n)
-    lam = cfg.lambda_of(n, eps)
+    eps, lam = cfg.rates[n]
     g = build(cloud, eps, profile)
     cert, margin = certify_overfit(g, lam)
     t0 = perf_counter()
@@ -303,12 +301,11 @@ def _cmd_gen(args):
 
 
 def _solve_common(args):
-    # lambda is checked before the dataset is read
-    lam = check_number(args.lam, "lambda", 0)
-    cloud = load_cloud(args.data)
+    # every flag is checked before the dataset is read
+    eps, lam = check_number(args.eps, "eps", 0), check_number(args.lam, "lambda", 0)
     profile = KernelProfile(args.kernel)
-    g = build(cloud, args.eps, profile)
-    return cloud, g, lam
+    cloud = load_cloud(args.data)
+    return cloud, build(cloud, eps, profile), lam
 
 
 def _cmd_solve(args):
@@ -357,12 +354,10 @@ def _cmd_sigma(args):
 
 
 def _cmd_gamma_check(args):
-    def eps_of(n):
-        return args.eps_c * n ** (-args.eps_a)
-    for n in args.n_list:
-        _rule_value("eps rule (--eps-c, --eps-a)", n, eps_of, n)
+    eps = {n: _rate("eps rule (--eps-c, --eps-a)", n, _eps, c=args.eps_c, a=args.eps_a)
+           for n in args.n_list}
     model = _resolve_model(args.model)
-    rows = gamma_check(model, KernelProfile(args.kernel), args.n_list, eps_of, args.seed)
+    rows = gamma_check(model, KernelProfile(args.kernel), args.n_list, eps.__getitem__, args.seed)
     _emit_json({"target": rows[0]["target"], "rows": rows}, args, args.out)
     return 0
 
@@ -413,8 +408,8 @@ def _cmd_plot(args):
 
 
 def _cmd_risk(args):
-    cloud = load_cloud(args.data)
     model = _resolve_model(args.model)
+    cloud = load_cloud(args.data)
     ub = _load_solution(args.solution, cloud)
     _emit_json({"n": cloud.n, "test_m": args.test_m, "bayes_risk": bayes_risk(model),
                 **_evaluate(cloud, ub, model, args.test_m, args.seed)},

@@ -3,11 +3,12 @@
     E(u) = lambda * gtv(u) + (1/n) sum_i |u_i - y_i|
 
 over u in [0,1]^n. Both terms decompose over level sets (coarea), so a
-binary global minimizer exists and is found exactly by a min s-t cut.
-A first-order primal-dual iteration solves the relaxation with a duality
-gap, and exhaustive enumeration serves as the small-instance oracle. The
-overfitting certificate bounds the dual variables and, when it holds,
-guarantees the labels themselves are the unique minimizer.
+binary global minimizer exists; solve_mincut, the package's solver, finds it
+exactly by a min s-t cut, and exhaustive enumeration is the small-instance oracle.
+The overfitting certificate bounds the dual variables and, when it holds,
+guarantees the labels themselves are the unique minimizer. The primal-dual
+iteration (PD) on the relaxation is kept only as the subject of the pd_relax
+benchmark (ROADMAP item 16); its _pd_operator and _dual_bound also serve min-cut's gap.
 """
 
 import numpy as np
@@ -106,7 +107,7 @@ def solve_mincut(graph, labels, lam):
     y = check_labels(labels, graph.n)
     lam = check_number(lam, "lambda", 0)
     n, m = graph.n, graph.m
-    if m == 0:   # the labels cost nothing, as in solve_primal_dual
+    if m == 0:   # no edge to cut: the labels cost nothing and are the minimizer
         return SolveResult(y.copy(), y, 0.0, 0.0, iters=0, gap=0.0, method="mincut")
     s, t = n, n + 1
     # perm lists the nodes in network order; rank[i] is node i's number there

@@ -107,6 +107,29 @@ def test_sweep_report_bytes_pinned(tmp_path):
     assert hashlib.sha256(blanked.encode()).hexdigest() == SMALL_CONSISTENT_REPORT_SHA256
 
 
+@pytest.mark.parametrize("regime, rule, lam_of", [
+    ("overfit", {"c": 0.01, "b": 0.5}, lambda n, eps: 0.01 * eps * n ** (-0.5)),
+    ("consistent", {"c": 0.15, "b": 0.25}, lambda n, eps: 0.15 * n ** (-0.25)),
+    ("fixed", {"c": 0.02}, lambda n, eps: 0.02),
+    ("underfit", {"c": 0.15, "b": 0.25}, lambda n, eps: 0.15 * n ** 0.25),
+])
+def test_sweep_rates_bit_for_bit(tmp_path, regime, rule, lam_of):
+    # each regime's eps and lambda columns equal the README's closed forms exactly
+    cfg = write_sweep_config(
+        tmp_path, n_list=[150, 2000], seeds=[1], test_m=100,
+        eps_rule={"c": 0.7, "a": 1 / 3}, lambda_rule=dict(rule, regime=regime))
+    assert run(tmp_path, "sweep", "--config", cfg) == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == [150, 2000]
+    for r in rows:
+        n = int(r["n"])
+        eps = 0.7 * n ** (-(1 / 3))
+        assert r["regime"] == regime
+        assert float(r["eps"]) == eps
+        assert float(r["lambda"]) == lam_of(n, eps)
+
+
 def test_sweep_overfit_rows_reproduce_labels(tmp_path):
     cfg = write_sweep_config(tmp_path)
     run(tmp_path, "sweep", "--config", cfg)
@@ -147,13 +170,13 @@ def test_sweep_config_rule_keys():
     base = {"model": "builtin:quadrant", "n_list": [10000], "seeds": [1],
             "eps_rule": {"c": 1.0, "a": 0.25}}
 
-    def lam(rule):
-        cfg = SweepConfig(dict(base, lambda_rule=rule))
-        return cfg.lambda_of(10000, cfg.eps_of(10000))
-
-    # consistent regime: c * n^(-b), with b = 1/4 when absent
-    assert lam({"regime": "consistent", "c": 1, "b": 0.5}) == pytest.approx(0.01, rel=1e-12)
-    assert lam({"regime": "consistent", "c": 1}) == pytest.approx(0.1, rel=1e-12)
+    # consistent regime: c * n^(-b), checked once per n of n_list
+    eps, lam = SweepConfig(dict(base, lambda_rule={"regime": "consistent", "c": 1, "b": 0.5})
+                           ).rates[10000]
+    assert eps == pytest.approx(0.1, rel=1e-12) and lam == pytest.approx(0.01, rel=1e-12)
+    # b has no default: without it the rule names no rate
+    with pytest.raises(ValidationError, match="lambda_rule: missing or malformed 'b'"):
+        SweepConfig(dict(base, lambda_rule={"regime": "consistent", "c": 1}))
     # fixed gives c at every n, so a b there would change nothing
     for bad in ({"regime": "consistent", "c": 1, "a": 0.5},
                 {"regime": "fixed", "c": 1, "scale": 2}, {"regime": "fixed", "c": 1, "b": 5}):
@@ -285,9 +308,15 @@ BAD_INPUTS = {
                                       "--lambda", value]
        for cmd in ("solve", "certify")
        for name, value in (("negative", "-1"), ("zero", "0"), ("nan", "nan"), ("inf", "inf"))},
-    # lambda is refused before the dataset is read: exit 2, not 3
-    **{"%s-lambda-before-data" % cmd: [cmd, "--data", "{d}/missing.csv", "--eps", "0.3",
-                                       "--lambda", "0"] for cmd in ("solve", "certify")},
+    # eps, lambda and kernel are refused before the dataset is read: exit 2, not 3
+    **{"%s-%s-before-data" % (cmd, name): [cmd, "--data", "{d}/missing.csv", *flags]
+       for cmd in ("solve", "certify")
+       for name, flags in (("eps", ["--eps", "0", "--lambda", "0.01"]),
+                           ("lambda", ["--eps", "0.3", "--lambda", "0"]),
+                           ("kernel", ["--eps", "0.3", "--lambda", "0.01", "--kernel", "bogus"]))},
+    # and risk's builtin model name
+    "risk-model-before-data": ["risk", "--data", "{d}/missing.csv", "--model", "builtin:bogus",
+                               "--solution", "{d}/s.json"],
     **{"%s-data-%s" % (cmd, name): [cmd, "--data", "{d}/data-%s.csv" % name, "--eps", "0.3",
                                     "--lambda", "0.01"]
        for cmd in ("solve", "certify") for name in ("nan", "inf", "extra-field")},
@@ -388,6 +417,11 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     # constants that give eps <= 0 or lambda <= 0 at every n
     ({"eps_rule": {"c": -0.7, "a": 0.3}}, "eps_rule"),
     ({"lambda_rule": {"regime": "fixed", "c": 0}}, "lambda_rule"),
+    # every constant of a rule is required: no default c or b
+    ({"lambda_rule": {"regime": "underfit", "c": 0.15}}, "lambda_rule"),
+    ({"lambda_rule": {"regime": "consistent"}}, "lambda_rule"),
+    ({"lambda_rule": {"regime": "fixed"}}, "lambda_rule"),
+    ({"lambda_rule": {"regime": "overfit", "b": 0}}, "lambda_rule"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):
