@@ -80,11 +80,14 @@ def _int_flag(lo):
 
 
 def _ints(lo):
-    """Checker of a nonempty JSON array of integers >= lo."""
+    """Checker of a nonempty JSON array of distinct integers >= lo; returns them sorted."""
     def integers(value, name):
         if not json_value(list)(value, name):
             raise ValidationError("%s must not be empty" % name)
-        return [check_int(v, name, lo) for v in value]
+        values = sorted(check_int(v, name, lo) for v in value)
+        if len(set(values)) < len(values):
+            raise ValidationError("%s must not repeat a value" % name)
+        return values
     return integers
 
 
@@ -183,16 +186,15 @@ def _run_one(model, profile, cfg, n, seed):
 def run_sweep(cfg, out_dir=".", threads=1):
     """Run the whole (n, seed) grid on `threads` workers, persist the report.
 
-    Rows are computed independently and sorted by (n, seed) before writing,
-    so the output bytes do not depend on scheduling; only runtime_ms varies
-    between identical runs.
+    Rows are computed independently and written in grid order, (n, seed)
+    ascending: map returns them in input order, so the output bytes do not
+    depend on scheduling; only runtime_ms varies between identical runs.
     """
     model = _resolve_model(cfg.model)
     profile = KernelProfile(cfg.kernel)
     jobs = [(n, seed) for n in cfg.n_list for seed in cfg.seeds]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        rows = sorted(ex.map(lambda job: _run_one(model, profile, cfg, *job), jobs),
-                      key=lambda r: (r["n"], r["seed"]))
+        rows = list(ex.map(lambda job: _run_one(model, profile, cfg, *job), jobs))
     path = _out_path(cfg.report, out_dir)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -340,9 +342,8 @@ def _cmd_sweep(args):
 
 def _cmd_tl1(args):
     a, b = load_cloud(args.a), load_cloud(args.b)
-    r = tl1_exact(a.points, a.labels, b.points, b.labels)
-    _emit_json({"n": a.n, "cost": r.cost,
-                "sup_displacement": r.sup_displacement}, args, args.out)
+    cost, sup = tl1_exact(a.points, a.labels, b.points, b.labels)
+    _emit_json({"n": a.n, "cost": cost, "sup_displacement": sup}, args, args.out)
     return 0
 
 
@@ -365,9 +366,7 @@ def _cmd_gamma_check(args):
 def _cmd_plot(args):
     if args.solution and not args.data:
         raise ValidationError("--solution needs the --data it labels")
-    if args.regime is not None and not args.report:
-        raise ValidationError("--regime filters the curves of a --report")
-    docs = []   # (file name, SVG text)
+    docs = []   # (input path, SVG text); each figure is named <input file name>.svg
     if args.report:
         raw = list(csv.DictReader(io.StringIO(read_text(args.report))))
         if not raw:
@@ -379,27 +378,25 @@ def _cmd_plot(args):
                           ("n", lambda text, key: check_int(int(text), key, 1)),
                           ("excess_risk", lambda text, key: check_number(float(text), key))))
             groups.setdefault(tag, {}).setdefault(n, []).append(e)
-        if args.regime is not None:
-            if args.regime not in groups:
-                raise ValidationError("no rows for regime %r; available: %s"
-                                      % (args.regime, ", ".join(sorted(groups))))
-            groups = {args.regime: groups[args.regime]}
         series = [(tag, sorted(g), [float(np.median(g[n])) for n in sorted(g)])
                   for tag, g in sorted(groups.items())]
-        docs.append(("excess_risk_vs_n.svg", _curves_svg(
+        docs.append((args.report, _curves_svg(
             series, "median excess risk vs n", "excess risk")))
     if args.data:
         cloud = load_cloud(args.data)
-        docs.append(("samples_by_label.svg", _scatter_svg(
+        docs.append((args.data, _scatter_svg(
             cloud.points, cloud.labels, "samples by label")))
         if args.solution:
-            docs.append(("solution_level_set.svg", _scatter_svg(
+            docs.append((args.solution, _scatter_svg(
                 cloud.points, _load_solution(args.solution, cloud),
                 "solution level set")))
     if not docs:
         raise ValidationError("nothing to plot: pass a report and/or a dataset")
+    names = [os.path.basename(path) + ".svg" for path, _ in docs]
+    if len(set(names)) < len(names):
+        raise ValidationError("inputs with one file name would share a figure: %s" % names)
     written = []
-    for name, text in docs:
+    for name, (_, text) in zip(names, docs):
         written.append(_out_path(name, args.out_dir))
         with open(written[-1], "w") as fh:
             fh.write(text)
@@ -476,7 +473,6 @@ def _build_parser():
 
     sp = add_parser("plot", _cmd_plot, help="emit SVG plots from reports/datasets")
     sp.add_argument("--report", default=None, help="sweep report CSV")
-    sp.add_argument("--regime", default=None, help="filter curves to one regime")
     sp.add_argument("--data", default=None, help="dataset CSV to scatter")
     sp.add_argument("--solution", default=None,
                     help="solve JSON; adds the level-set scatter")

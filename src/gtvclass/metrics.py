@@ -101,19 +101,6 @@ def bayes_agreement(classifier, model, m, seed):
     return float(np.mean(pred == bayes_classify(model, fresh.points)))
 
 
-class TransportPlanResult:
-    """Assignment between two equal-size point sets plus summary costs."""
-
-    def __init__(self, assignment, cost, sup_displacement):
-        self.assignment = assignment
-        self.cost = cost
-        self.sup_displacement = sup_displacement
-
-    def __repr__(self):
-        return "TransportPlanResult(cost=%g, sup_displacement=%g)" % (
-            self.cost, self.sup_displacement)
-
-
 def tl1_exact(points_a, f_a, points_b, f_b):
     """Exact TL1 distance between two equal-size discrete functions, given
     as (n, d) point arrays and (n,) values.
@@ -123,6 +110,8 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     For uniform empirical measures of equal size an optimal coupling may be
     taken as a permutation, so this is the genuine TL1 distance between the
     two elements. Unequal sizes (general couplings) are out of scope.
+    Returns (cost, sup_displacement): the distance and the longest move
+    |x_i - z_s(i)| of the optimal assignment.
     """
     xa = check_points(points_a, what="first point set")
     xb = check_points(points_b, xa.shape[1], "second point set")
@@ -139,8 +128,7 @@ def tl1_exact(points_a, f_a, points_b, f_b):
     disp = cdist(xa, xb)
     cost_mat = disp + np.abs(fa[:, None] - fb[None, :])
     rows, cols = linear_sum_assignment(cost_mat)
-    return TransportPlanResult(cols, float(cost_mat[rows, cols].sum() / n),
-                               float(disp[rows, cols].max()))
+    return float(cost_mat[rows, cols].sum() / n), float(disp[rows, cols].max())
 
 
 def tl1_proxy_1nn(classifier, model, m, seed):

@@ -315,7 +315,7 @@ def test_08_tl1_exactness_and_axioms(capsys):
         d = int(rng.integers(1, 4))
         xa, xb = rng.random((n, d)), rng.random((n, d))
         fa, fb = rng.normal(size=n), rng.normal(size=n)
-        got = mx.tl1_exact(xa, fa, xb, fb).cost
+        got = mx.tl1_exact(xa, fa, xb, fb)[0]
         worst = max(worst, abs(got - brute_tl1(xa, fa, xb, fb)))
     worst_sym = 0.0
     worst_tri = -np.inf
@@ -324,10 +324,10 @@ def test_08_tl1_exactness_and_axioms(capsys):
         d = int(rng.integers(1, 4))
         clouds = [(rng.random((n, d)), rng.normal(size=n)) for _ in range(3)]
         (xa, fa), (xb, fb), (xc, fc) = clouds
-        dab = mx.tl1_exact(xa, fa, xb, fb).cost
-        worst_sym = max(worst_sym, abs(dab - mx.tl1_exact(xb, fb, xa, fa).cost))
-        dbc = mx.tl1_exact(xb, fb, xc, fc).cost
-        dac = mx.tl1_exact(xa, fa, xc, fc).cost
+        dab = mx.tl1_exact(xa, fa, xb, fb)[0]
+        worst_sym = max(worst_sym, abs(dab - mx.tl1_exact(xb, fb, xa, fa)[0]))
+        dbc = mx.tl1_exact(xb, fb, xc, fc)[0]
+        dac = mx.tl1_exact(xa, fa, xc, fc)[0]
         worst_tri = max(worst_tri, dac - (dab + dbc))
     elapsed = time.perf_counter() - t0
     ok = (worst <= TOL_TL1 and worst_sym <= TOL_TL1 and worst_tri <= TOL_TL1

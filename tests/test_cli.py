@@ -107,6 +107,21 @@ def test_sweep_report_bytes_pinned(tmp_path):
     assert hashlib.sha256(blanked.encode()).hexdigest() == SMALL_CONSISTENT_REPORT_SHA256
 
 
+def test_sweep_rows_in_grid_order(tmp_path):
+    # n_list and seeds given out of order run the sorted grid: the same rows in
+    # (n, seed) order, byte for byte apart from runtime_ms
+    def report(name, n_list, seeds):
+        cfg = write_sweep_config(tmp_path, n_list=n_list, seeds=seeds, test_m=100,
+                                 report=name)
+        assert run(tmp_path, "sweep", "--config", cfg) == 0
+        return [ln.rsplit(",", 1)[0] for ln in (tmp_path / name).read_text().splitlines()]
+
+    given = report("given.csv", [300, 150], [2, 1])
+    assert given == report("sorted.csv", [150, 300], [1, 2])
+    assert [row.split(",")[1:6:4] for row in given[1:]] == [
+        ["150", "1"], ["150", "2"], ["300", "1"], ["300", "2"]]
+
+
 @pytest.mark.parametrize("regime, rule, lam_of", [
     ("overfit", {"c": 0.01, "b": 0.5}, lambda n, eps: 0.01 * eps * n ** (-0.5)),
     ("consistent", {"c": 0.15, "b": 0.25}, lambda n, eps: 0.15 * n ** (-0.25)),
@@ -339,6 +354,7 @@ BAD_INPUTS = {
                              "0.01", "--max-iters", "5"],
     "solve-tol-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
                        "--tol", "0.1"],
+    # plot has no --regime: a report carries one regime, and each regime tag gets its own curve
     "plot-regime-no-report": ["plot", "--data", "{d}/d.csv", "--regime", "nonsense"],
 }
 
@@ -422,6 +438,9 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     ({"lambda_rule": {"regime": "consistent"}}, "lambda_rule"),
     ({"lambda_rule": {"regime": "fixed"}}, "lambda_rule"),
     ({"lambda_rule": {"regime": "overfit", "b": 0}}, "lambda_rule"),
+    # the grid is a set: a repeated n or seed would run the same row again
+    ({"n_list": [300, 150, 150]}, "n_list"),
+    ({"seeds": [2, 1, 1]}, "seeds"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -539,7 +558,7 @@ def test_gamma_check_json_model_any_dimension(tmp_path, capsys, d, target):
     assert json.loads(capsys.readouterr().out)["target"] == pytest.approx(target, rel=1e-9)
 
 
-def test_plot_outputs_and_regime_filter(tmp_path, capsys):
+def test_plot_outputs(tmp_path, capsys):
     cfg = write_sweep_config(tmp_path)
     run(tmp_path, "sweep", "--config", cfg)
     run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "50",
@@ -547,20 +566,42 @@ def test_plot_outputs_and_regime_filter(tmp_path, capsys):
     run(tmp_path, "solve", "--data", str(tmp_path / "d.csv"), "--eps", "0.25",
         "--lambda", "0.001", "--out", "s.json")
     capsys.readouterr()
-    assert run(tmp_path, "plot", "--report", str(tmp_path / "report.csv"),
-               "--data", str(tmp_path / "d.csv"),
-               "--solution", str(tmp_path / "s.json")) == 0
+    out = tmp_path / "figs"
+    assert main(["--out-dir", str(out), "plot", "--report", str(tmp_path / "report.csv"),
+                 "--data", str(tmp_path / "d.csv"),
+                 "--solution", str(tmp_path / "s.json")]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert len(rec["written"]) == 3
+    # each figure is named after the file it draws
+    assert rec["written"] == [str(out / name)
+                              for name in ("report.csv.svg", "d.csv.svg", "s.json.svg")]
+    assert sorted(os.listdir(out)) == ["d.csv.svg", "report.csv.svg", "s.json.svg"]
     for p in rec["written"]:
-        assert os.path.exists(p)
         text = open(p).read()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
-    # empty regime filter errors and names the available regimes
-    assert run(tmp_path, "plot", "--report", str(tmp_path / "report.csv"),
-               "--regime", "underfit") == 2
-    err = capsys.readouterr().err
-    assert "overfit" in err
+
+
+def test_plot_reports_into_one_dir_keep_both(tmp_path, capsys):
+    # a second report plotted into the same directory adds its own figure
+    for name, regime in (("report.csv", "overfit"), ("underfit.csv", "underfit")):
+        (tmp_path / name).write_text("regime,n,excess_risk\n%s,100,0.1\n" % regime)
+        assert run(tmp_path, "plot", "--report", str(tmp_path / name)) == 0
+    assert sorted(p for p in os.listdir(tmp_path) if p.endswith(".svg")) == [
+        "report.csv.svg", "underfit.csv.svg"]
+    assert "underfit" not in (tmp_path / "report.csv.svg").read_text()
+    assert "underfit" in (tmp_path / "underfit.csv.svg").read_text()
+
+
+def test_plot_inputs_sharing_a_file_name_exit_2(tmp_path, capsys):
+    # two inputs with one file name would write one figure over the other
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    (tmp_path / "a" / "x.csv").write_text("regime,n,excess_risk\noverfit,100,0.1\n")
+    run(tmp_path, "gen", "--model", "builtin:quadrant", "--n", "20", "--out", "b/x.csv")
+    capsys.readouterr()
+    assert run(tmp_path, "plot", "--report", str(tmp_path / "a" / "x.csv"),
+               "--data", str(tmp_path / "b" / "x.csv")) == 2
+    assert "x.csv.svg" in capsys.readouterr().err
+    assert not any(p.endswith(".svg") for p in os.listdir(tmp_path))
 
 
 def test_plot_single_row_report(tmp_path, capsys):
