@@ -1,10 +1,10 @@
 """Experiment driver: data generation, solving, regime sweeps, and plots.
 
 Subcommands: gen, solve, certify, sweep, tl1, sigma, gamma-check, plot, risk.
-Global flags, accepted before or after the subcommand: --out-dir roots the
-relative output paths of every subcommand; --seed is read only by gen, risk
-and gamma-check (sweep takes its seeds from the config); --threads (>= 1)
-is read only by sweep. risk scores a solution with the sweep's evaluation.
+Global flags go before the subcommand: --out-dir roots the relative output
+paths of every subcommand and --threads (>= 1) sets sweep's workers. --seed
+(>= 0) is a flag of gen, risk and gamma-check; sweep takes its seeds from the
+config. risk scores a solution with the sweep's evaluation.
 --kernel is indicator|exp|exponential|gauss|gaussian with no options: the
 profile eta(r/s) at eps and lambda is --eps s*eps --lambda s^(d+1)*lambda.
 Everything is deterministic given the seeds; sweep reports are CSV with a
@@ -79,6 +79,13 @@ def _int_flag(lo):
     return integer
 
 
+def _file_name(value, name):
+    """value, once it is a JSON string whose last path component names a file."""
+    if os.path.basename(json_value(str)(value, name)) in ("", ".", ".."):
+        raise ValidationError("%s must end in a file name, got %r" % (name, value))
+    return value
+
+
 def _ints(lo):
     """Checker of a nonempty JSON array of distinct integers >= lo; returns them sorted."""
     def integers(value, name):
@@ -129,7 +136,7 @@ class SweepConfig:
 
     KEYS = {"model": json_value(str), "n_list": _ints(1), "eps_rule": json_value(dict),
             "lambda_rule": json_value(dict), "kernel": json_value(str), "seeds": _ints(0),
-            "test_m": lambda v, name: check_int(v, name, 100), "report": json_value(str)}
+            "test_m": lambda v, name: check_int(v, name, 100), "report": _file_name}
 
     def __init__(self, raw):
         self.__dict__.update(read_object(raw, self.KEYS, "sweep config", kernel="indicator",
@@ -358,7 +365,7 @@ def _cmd_gamma_check(args):
     eps = {n: _rate("eps rule (--eps-c, --eps-a)", n, _eps, c=args.eps_c, a=args.eps_a)
            for n in args.n_list}
     model = _resolve_model(args.model)
-    rows = gamma_check(model, KernelProfile(args.kernel), args.n_list, eps.__getitem__, args.seed)
+    rows = gamma_check(model, KernelProfile(args.kernel), eps, args.seed)
     _emit_json({"target": rows[0]["target"], "rows": rows}, args, args.out)
     return 0
 
@@ -420,19 +427,15 @@ def _build_parser():
         description="Graph-TV regularized binary classification on point "
                     "clouds: an exact min-cut solver, TL1 transport "
                     "distances, and regime-sweep experiment drivers.")
-    # global flags, accepted after the subcommand too; SUPPRESS keeps the
-    # subparser from clobbering values already parsed by the main parser
-    common = argparse.ArgumentParser(add_help=False)
-    for flag, kw in (("--seed", dict(type=_int_flag(0), default=0, help="base RNG seed")),
-                     ("--out-dir", dict(default=".", help="directory for outputs")),
-                     ("--threads", dict(type=_int_flag(1), default=1,
-                                        help="parallel workers for sweeps"))):
-        p.add_argument(flag, **kw)
-        common.add_argument(flag, **dict(kw, default=argparse.SUPPRESS))
+    p.add_argument("--out-dir", default=".", help="directory for outputs")
+    p.add_argument("--threads", type=_int_flag(1), default=1, help="parallel workers for sweep")
     sub = p.add_subparsers(dest="command", required=True)
 
+    def grid(text):   # --n-list, checked as a sweep config's n_list
+        return _ints(1)([int(t) for t in text.split(",")], "--n-list")
+
     def add_parser(name, func, out=False, **kw):
-        sp = sub.add_parser(name, parents=[common], **kw)
+        sp = sub.add_parser(name, **kw)
         sp.set_defaults(func=func)
         if out:
             sp.add_argument("--out", default=None, help="also write the JSON here")
@@ -443,6 +446,7 @@ def _build_parser():
                     help="model JSON path or builtin:<name>")
     sp.add_argument("--n", type=_int_flag(1), required=True)
     sp.add_argument("--out", required=True, help="output CSV path")
+    sp.add_argument("--seed", type=_int_flag(0), default=0, help="sampling seed")
 
     for name, fn in (("solve", _cmd_solve), ("certify", _cmd_certify)):
         sp = add_parser(name, fn, out=True, help="%s a dataset instance" % name)
@@ -466,10 +470,10 @@ def _build_parser():
                     help="graph TV vs continuum target across n")
     sp.add_argument("--model", default="builtin:halfplane")
     sp.add_argument("--kernel", default="indicator")
-    sp.add_argument("--n-list", default="1000,4000,16000",
-                    type=lambda text: [_int_flag(1)(t) for t in text.split(",")])
+    sp.add_argument("--n-list", default="1000,4000,16000", type=grid)
     sp.add_argument("--eps-c", type=float, default=1.0)
     sp.add_argument("--eps-a", type=float, default=0.25)
+    sp.add_argument("--seed", type=_int_flag(0), default=0, help="base seed of the clouds")
 
     sp = add_parser("plot", _cmd_plot, help="emit SVG plots from reports/datasets")
     sp.add_argument("--report", default=None, help="sweep report CSV")
@@ -482,6 +486,7 @@ def _build_parser():
     sp.add_argument("--model", required=True)
     sp.add_argument("--solution", required=True)
     sp.add_argument("--test-m", type=_int_flag(100), default=2000)
+    sp.add_argument("--seed", type=_int_flag(0), default=0, help="seed of the test draws")
     return p
 
 

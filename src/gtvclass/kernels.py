@@ -18,8 +18,10 @@ for the gaussian; the tail cut off is below double precision relative to
 eta(0) for the exponential and ~1e-14 for the gaussian.
 """
 
+import sys
+
 import numpy as np
-from scipy.special import gamma as _gamma, gammainc
+from scipy.special import gamma as _gamma, gammainc, gammaln
 
 from . import ValidationError, _numbers, check_int
 
@@ -67,6 +69,10 @@ def _angular_factor(d):
     return 2.0 * np.pi ** ((d - 1) / 2.0) / _gamma((d + 1) / 2.0)
 
 
+# Gamma(d + 1), the largest factor of sigma_eta, is a float up to this d
+_PRODUCT_MAX_D = 170
+
+
 def surface_tension(profile, d):
     """sigma_eta = integral over R^d of eta(|h|) |h_1| dh.
 
@@ -76,13 +82,44 @@ def surface_tension(profile, d):
     regularized lower incomplete gamma function: 1/(d+1) for the indicator,
     Gamma(d+1) P(d+1, R) for the exponential and
     2^((d-1)/2) Gamma((d+1)/2) P((d+1)/2, R^2/2) for the gaussian.
+
+    Up to d = 170 the product is taken as written. Past it Gamma(d+1)
+    overflows, so the product is summed in logs (gammaln). There a sigma
+    that over- or underflows a normal float, or whose factor P underflows,
+    is a ValidationError naming d: from d = 345 for the exponential, 434
+    for the indicator and 854 for the gaussian.
     """
     d = check_int(d, "d", 1)
-    A = _angular_factor(d)
     R = profile.support_radius
-    if profile.shape == "indicator":
-        return A / (d + 1)
-    if profile.shape == "exponential":
-        return A * _gamma(d + 1) * gammainc(d + 1, R)
+    if d <= _PRODUCT_MAX_D:
+        A = _angular_factor(d)
+        if profile.shape == "indicator":
+            return A / (d + 1)
+        if profile.shape == "exponential":
+            return A * _gamma(d + 1) * gammainc(d + 1, R)
+        k = (d + 1) / 2.0
+        return A * 2.0 ** (k - 1.0) * _gamma(k) * gammainc(k, R * R / 2.0)
+    try:
+        sigma = _log_form(profile.shape, R, d)
+    except OverflowError:   # d itself is beyond a float
+        sigma = np.inf
+    if not sys.float_info.min <= sigma < np.inf:
+        raise ValidationError("sigma of the %s kernel at d = %d, or its incomplete-gamma "
+                              "factor, leaves the float range" % (profile.shape, d))
+    return float(sigma)
+
+
+def _log_form(shape, R, d):
+    # surface_tension's product as the exp of its summed logs: inf or below
+    # the least normal float where it leaves the float range, 0 where P underflows
     k = (d + 1) / 2.0
-    return A * 2.0 ** (k - 1.0) * _gamma(k) * gammainc(k, R * R / 2.0)
+    log_A = np.log(2.0) + (k - 1.0) * np.log(np.pi) - gammaln(k)
+    if shape == "indicator":
+        log_radial = -np.log(d + 1.0)
+    else:
+        a, x, log_c = ((d + 1.0, R, 0.0) if shape == "exponential"
+                       else (k, R * R / 2.0, (k - 1.0) * np.log(2.0)))
+        with np.errstate(divide="ignore"):
+            log_radial = log_c + gammaln(a) + np.log(gammainc(a, x))
+    with np.errstate(over="ignore"):
+        return np.exp(log_A + log_radial)

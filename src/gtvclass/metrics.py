@@ -269,22 +269,23 @@ def concentration_diagnostic(cloud, model, eps):
     return float(np.abs(acc).sum() / resid.size)
 
 
-def gamma_check(model, profile, n_list, eps_rule, seed):
+def gamma_check(model, profile, eps_by_n, seed):
     """Discrete-vs-continuum comparison table for the graph functional.
 
-    For each n: sample a cloud, restrict the Bayes classifier to it, and
-    compare its graph total variation at eps = eps_rule(n) against the
-    continuum target sigma_eta * TV_rho^2(u_B), summed from the model's
-    cells by bayes_tv (a density jump across the Bayes interface is a
-    ValidationError). Returns one row per n with the absolute and relative
-    errors.
+    For each n of the mapping eps_by_n, ascending: sample a cloud from stream
+    (seed, i), i the rank of n in the grid (so adding a smaller n redraws
+    every larger one), restrict the Bayes classifier to it, and compare its
+    graph total variation at eps_by_n[n] against the continuum target
+    sigma_eta * TV_rho^2(u_B), summed from the model's cells by bayes_tv (a
+    density jump across the Bayes interface is a ValidationError). Returns
+    one row per n with the absolute and relative errors.
     """
     target = surface_tension(profile, model.d) * bayes_tv(model)
     rows = []
-    for i, n in enumerate(n_list):
-        n = check_int(n, "n", 1)
+    grid = sorted((check_int(n, "n", 1), check_number(eps, "eps", 0))
+                  for n, eps in eps_by_n.items())
+    for i, (n, eps) in enumerate(grid):
         cloud = sample(model, n, (seed, i))
-        eps = check_number(eps_rule(n), "eps", 0)
         val = gtv(build(cloud, eps, profile), bayes_classify(model, cloud.points))
         abs_err = abs(val - target)
         rows.append({

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: round trips, determinism, exit codes, plots."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import gtvclass
-from gtvclass.cli import REPORT_COLUMNS, SweepConfig, main
+from gtvclass.cli import REPORT_COLUMNS, SweepConfig, _build_parser, main
 from gtvclass import ValidationError
+from gtvclass.kernels import KernelProfile, surface_tension
 
 
 def run(tmp_path, *argv):
@@ -288,9 +290,20 @@ BAD_INPUTS = {
                           "--out", "x.csv", "--seed", "-1"],
     "risk-negative-seed": ["risk", "--data", "{d}/d.csv", "--model", "builtin:quadrant",
                            "--solution", "{d}/s.json", "--seed", "-1"],
-    "gamma-negative-seed": ["--seed", "-1", "gamma-check", "--n-list", "100"],
+    "gamma-negative-seed": ["gamma-check", "--n-list", "100", "--seed", "-1"],
     "threads-zero": ["--threads", "0", "sweep", "--config", "{d}/sweep.json"],
-    "threads-negative": ["sweep", "--threads", "-1", "--config", "{d}/sweep.json"],
+    "threads-negative": ["--threads", "-1", "sweep", "--config", "{d}/sweep.json"],
+    # --seed is a flag of gen, risk and gamma-check only, and global flags go before
+    # the subcommand
+    "solve-seed-flag": ["solve", "--data", "{d}/d.csv", "--eps", "0.3", "--lambda", "0.01",
+                        "--seed", "1"],
+    "sigma-seed-flag": ["sigma", "--seed", "1"],
+    "gen-seed-before-subcommand": ["--seed", "1", "gen", "--model", "builtin:quadrant",
+                                   "--n", "10", "--out", "x.csv"],
+    "gen-out-dir-after-subcommand": ["gen", "--model", "builtin:quadrant", "--n", "10",
+                                     "--out", "x.csv", "--out-dir", "x"],
+    # gamma-check's grid is a set, as a sweep's n_list is
+    "gamma-n-list-repeated": ["gamma-check", "--n-list", "300,300"],
     "risk-dimension-mismatch": ["risk", "--data", "{d}/d3.csv", "--model", "builtin:quadrant",
                                 "--solution", "{d}/s3.json"],
     "risk-no-u-binary": ["risk", "--data", "{d}/d.csv", "--model", "builtin:quadrant",
@@ -441,6 +454,10 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, case):
     # the grid is a set: a repeated n or seed would run the same row again
     ({"n_list": [300, 150, 150]}, "n_list"),
     ({"seeds": [2, 1, 1]}, "seeds"),
+    # a report path must end in a file name, or the write fails after every row ran
+    ({"report": ""}, "report"),
+    ({"report": "sub/"}, "report"),
+    ({"report": "sub/.."}, "report"),
 ])
 def test_sweep_config_strict_before_any_row(tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -524,6 +541,38 @@ def test_sigma_subcommand(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["sigma"] == pytest.approx(4 / 3)
     assert run(tmp_path, "sigma", "--kernel", "gauss", "--d", "1") == 0
     assert json.loads(capsys.readouterr().out)["sigma"] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel, d_fits, d_beyond", [
+    ("indicator", 400, 434), ("exp", 171, 345), ("gauss", 400, 854)])
+def test_sigma_large_d(tmp_path, capsys, kernel, d_fits, d_beyond):
+    # past d = 170 sigma is summed in logs: a finite JSON number where it fits a
+    # float, and exit 2 naming d where it, or its incomplete-gamma factor, does not
+    assert run(tmp_path, "sigma", "--kernel", kernel, "--d", str(d_fits)) == 0
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "NaN" not in out
+    assert json.loads(out)["sigma"] == surface_tension(KernelProfile(kernel), d_fits) > 0
+    assert run(tmp_path, "sigma", "--kernel", kernel, "--d", str(d_beyond)) == 2
+    err = capsys.readouterr().err
+    assert "d = %d" % d_beyond in err and "Traceback" not in err
+
+
+def test_each_flag_is_declared_where_it_is_read():
+    # --seed on its three readers only; --out-dir and --threads on the main parser only
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in sp._actions for f in a.option_strings}
+             for name, sp in sub.choices.items()}
+    assert {name for name, f in flags.items() if "--seed" in f} == {"gen", "risk", "gamma-check"}
+    assert not any({"--out-dir", "--threads"} & f for f in flags.values())
+
+
+def test_gamma_check_rows_do_not_depend_on_n_list_order(tmp_path, capsys):
+    # the grid is sorted before row i draws its cloud from stream (seed, i)
+    outs = []
+    for n_list in ("900,300", "300,900"):
+        assert run(tmp_path, "gamma-check", "--n-list", n_list, "--seed", "5") == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_gamma_check_subcommand(tmp_path, capsys):

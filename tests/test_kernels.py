@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammainc, gammaln
 
 from gtvclass import ValidationError
 from gtvclass import kernels
@@ -84,6 +86,68 @@ def test_surface_tension_gaussian_analytic():
     for d in (1, 2, 3):
         exact = angular(d) * 2.0 ** ((d - 1) / 2.0) * gamma_fn((d + 1) / 2.0)
         assert kernels.surface_tension(p, d) == pytest.approx(exact, rel=1e-12)
+
+
+def log_form(shape, d):
+    # sigma_eta as the exp of its summed logs (gammaln), for any d
+    k = (d + 1) / 2.0
+    log_a = np.log(2.0) + (k - 1.0) * np.log(np.pi) - gammaln(k)
+    if shape == "indicator":
+        log_radial = -np.log(d + 1.0)
+    else:
+        a, x, log_c = ((d + 1.0, 40.0, 0.0) if shape == "exponential"
+                       else (k, 32.0, (k - 1.0) * np.log(2.0)))
+        with np.errstate(divide="ignore"):
+            log_radial = log_c + gammaln(a) + np.log(gammainc(a, x))
+    with np.errstate(over="ignore"):
+        return np.exp(log_a + log_radial)
+
+
+@pytest.mark.parametrize("shape", ["indicator", "exponential", "gaussian"])
+def test_surface_tension_is_a_float_or_refused_at_every_d(shape):
+    # a positive normal float that agrees with the gammaln form, or a
+    # ValidationError naming d, and never a RuntimeWarning (they are errors here)
+    p = KernelProfile(shape)
+    for d in list(range(1, 1200)) + [5000, 10 ** 5, 10 ** 400]:
+        ref = log_form(shape, d) if d < 10 ** 300 else np.inf
+        if sys.float_info.min <= ref < np.inf:
+            assert kernels.surface_tension(p, d) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        else:
+            with pytest.raises(ValidationError, match="at d = %d," % d):
+                kernels.surface_tension(p, d)
+
+
+@pytest.mark.parametrize("shape", ["indicator", "exponential", "gaussian"])
+def test_surface_tension_small_d_is_the_product_as_written(shape):
+    # up to d = 10, and so for every gamma-check target, sigma is the closed-form
+    # product bit for bit
+    for d in range(1, 11):
+        k = (d + 1) / 2.0
+        if shape == "indicator":
+            want = angular(d) / (d + 1)
+        elif shape == "exponential":
+            want = angular(d) * gamma_fn(d + 1) * gammainc(d + 1, 40.0)
+        else:
+            want = angular(d) * 2.0 ** (k - 1.0) * gamma_fn(k) * gammainc(k, 32.0)
+        assert kernels.surface_tension(KernelProfile(shape), d) == want
+
+
+@pytest.mark.parametrize("shape, ds", [("indicator", (171, 400, 433)),
+                                       ("exponential", (171, 300, 344)),
+                                       ("gaussian", (171, 400, 853))])
+def test_surface_tension_large_d_against_high_precision(shape, ds):
+    # an independent oracle: the same integrals in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    R = {"indicator": 1, "exponential": 40, "gaussian": 8}[shape]
+    for d in ds:
+        k = mpmath.mpf(d + 1) / 2
+        radial = {"indicator": lambda: mpmath.mpf(1) / (d + 1),
+                  "exponential": lambda: mpmath.gammainc(d + 1, 0, R),
+                  "gaussian": lambda: 2 ** (k - 1) * mpmath.gammainc(k, 0, R * R / 2)}[shape]()
+        exact = 2 * mpmath.pi ** (k - 1) / mpmath.gamma(k) * radial
+        got = kernels.surface_tension(KernelProfile(shape), d)
+        assert abs(mpmath.mpf(got) / exact - 1) < 1e-12
 
 
 def test_monotone_nonincreasing_on_grid():

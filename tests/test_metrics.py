@@ -861,7 +861,7 @@ def test_gamma_check_constant_bayes_classifier():
     model = GroundTruthModel((0, 0), (1, 1), [((0, 0), (1, 1), 1.0)],
                              [((0, 0), (1, 1), 0.9)], name="const")
     rows = mx.gamma_check(model, KernelProfile("indicator"),
-                          [200, 400], lambda n: n ** -0.25, 71)
+                          {n: n ** -0.25 for n in (200, 400)}, 71)
     for r in rows:
         assert r["gtv"] == 0.0 and r["target"] == 0.0 and r["rel_err"] == 0.0
 
@@ -869,7 +869,7 @@ def test_gamma_check_constant_bayes_classifier():
 def test_gamma_check_error_shrinks():
     model = halfplane_model()
     rows = mx.gamma_check(model, KernelProfile("indicator"),
-                          [400, 1600, 6400], lambda n: n ** -0.25, 73)
+                          {n: n ** -0.25 for n in (400, 1600, 6400)}, 73)
     assert rows[0]["target"] == pytest.approx(4 / 3)
     errs = [r["abs_err"] for r in rows]
     assert errs[2] < errs[0]
@@ -1155,7 +1155,9 @@ NUMBER_TAKERS = {
     "sample n": (lambda v, tmp: sample(quadrant_model(), v, 0).n, 1),
     "quadrature_points n": (lambda v, tmp: len(mx.quadrature_points(quadrant_model(), v)), 1),
     "gamma_check n_list": (lambda v, tmp: mx.gamma_check(
-        quadrant_model(), KernelProfile("indicator"), [v], lambda n: 0.5, 0)[0]["n"], 1),
+        quadrant_model(), KernelProfile("indicator"), {v: 0.5}, 0)[0]["n"], 1),
+    "gamma_check eps": (lambda v, tmp: mx.gamma_check(
+        quadrant_model(), KernelProfile("indicator"), {50: v}, 0)[0]["eps"], "positive"),
     "test_risk m": (unread(lambda v: mx.test_risk(mx.VoronoiClassifier(*labeled_points()),
                                                   quadrant_model(), v, 0)), 100),
     "solve --lambda": (solve_flag("--lambda"), "positive"),
